@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.errors import RoutingError
 from repro.fabric.router import NO_ROUTE, FabricRoutes
+from repro.routing.table import RouteTable
 from repro.traffic.matrix import TrafficMatrix
 
 
@@ -47,11 +48,12 @@ def trace(
     )
 
 
-def compile_flit_routes(routes: FabricRoutes) -> dict[int, list[tuple[int, ...]]]:
-    """Compile fabric routes into the flit engine's route-table format.
+def compile_flit_routes(routes: FabricRoutes) -> RouteTable:
+    """Compile fabric routes into the flit engine's route table.
 
-    Returns the mapping ``src * n_hosts + dst -> [channel-id paths]``
-    (one per LID offset, deduplicated) consumed by
+    Returns the :class:`~repro.routing.table.RouteTable` over pair keys
+    ``src * n_hosts + dst`` (one channel-id path per LID offset,
+    deduplicated) consumed by
     :meth:`repro.flit.FlitSimulator.from_tables` — enabling flit-level
     simulation of discovered (and degraded) fabrics.
 
@@ -75,7 +77,7 @@ def compile_flit_routes(routes: FabricRoutes) -> dict[int, list[tuple[int, ...]]
                 if path not in paths:
                     paths.append(path)
             table[s * n + d] = paths
-    return table
+    return RouteTable.from_mapping(n, table)
 
 
 def fabric_link_loads(routes: FabricRoutes, tm: TrafficMatrix) -> np.ndarray:

@@ -16,7 +16,10 @@ differential oracle):
   hosts replicating the reference's draw order exactly (destination,
   path choices, arrival clock, per pop) — and materializes flat
   per-message and per-packet arrays: creation cycle, measured flag, and
-  one route tuple per packet.  Phase B is then RNG-free.
+  one :class:`~repro.routing.table.RouteTable` path id per packet.
+  Phase B is then RNG-free: the native kernel gathers its link arrays
+  from the ids in one NumPy step, and the Python kernels materialize
+  link tuples for the distinct ids only.
 
 * **Calendar queue (phase B).**  The reference orders events by
   ``(time, seq)`` with ``seq`` a global push counter.  A per-cycle
@@ -128,15 +131,16 @@ class BatchedFlitSimulator(FlitSimulator):
         exact draw order, into flat arrays.
 
         Returns ``(ev_cycle, ev_msg, ev_child, n_initial, msg_src,
-        msg_created, msg_measured, pkt_path, pkt_last, overflow)``:
-        injection events in *push order* (cycle, message id or -1 for a
-        silent poll, successor event id or -1), per-message and
-        per-packet state, and whether any event lands past the horizon
-        (which pins ``sim_cycles`` to the horizon, as in the reference).
+        msg_created, msg_measured, pkt_pid, overflow)``: injection
+        events in *push order* (cycle, message id or -1 for a silent
+        poll, successor event id or -1), per-message state, one
+        :class:`~repro.routing.table.RouteTable` path id per packet, and
+        whether any event lands past the horizon (which pins
+        ``sim_cycles`` to the horizon, as in the reference).
         """
         cfg = self.config
         n_procs = self._n_procs
-        routes = self.routes
+        pair_off = self.routes.pair_off
         ppm = cfg.packets_per_message
         warmup = cfg.warmup_cycles
         window_end = cfg.end_of_window
@@ -150,8 +154,10 @@ class BatchedFlitSimulator(FlitSimulator):
         msg_src: list[int] = []
         msg_created: list[int] = []
         msg_measured: list[bool] = []
-        pkt_path: list[tuple[int, ...]] = []
-        pkt_last: list[int] = []
+        pkt_pid: list[int] = []
+        pkt_append = pkt_pid.append
+        # pair key -> (first path id, path count), read once per pair
+        spans: dict[int, tuple[int, int]] = {}
         rr_state: dict[int, int] = {}
         overflow = False
         randrange = rng.randrange
@@ -160,27 +166,24 @@ class BatchedFlitSimulator(FlitSimulator):
             msg_src.append(host)
             msg_created.append(cyc)
             msg_measured.append(warmup <= cyc < window_end)
-            paths = routes[host * n_procs + dst]
-            n_paths = len(paths)
+            key = host * n_procs + dst
+            span = spans.get(key)
+            if span is None:
+                first, stop = pair_off[key:key + 2].tolist()
+                span = spans[key] = (first, stop - first)
+            first, n_paths = span
             if round_robin:
-                key = host * n_procs + dst
                 base = rr_state.get(key, 0)
                 rr_state[key] = (base + ppm) % n_paths
                 for j in range(ppm):
-                    path = paths[(base + j) % n_paths]
-                    pkt_path.append(path)
-                    pkt_last.append(len(path) - 1)
+                    pkt_append(first + (base + j) % n_paths)
             elif per_packet:
                 for _ in range(ppm):
-                    path = paths[randrange(n_paths)]
-                    pkt_path.append(path)
-                    pkt_last.append(len(path) - 1)
+                    pkt_append(first + randrange(n_paths))
             else:
-                path = paths[randrange(n_paths)]
-                last = len(path) - 1
+                pid = first + randrange(n_paths)
                 for _ in range(ppm):
-                    pkt_path.append(path)
-                    pkt_last.append(last)
+                    pkt_append(pid)
 
         if trace is not None:
             n_initial = len(trace)
@@ -241,7 +244,17 @@ class BatchedFlitSimulator(FlitSimulator):
                     heappush(heap, (nxt, cid))
 
         return (ev_cycle, ev_msg, ev_child, n_initial, msg_src, msg_created,
-                msg_measured, pkt_path, pkt_last, overflow)
+                msg_measured, pkt_pid, overflow)
+
+    def _with_paths(self, plan):
+        """The plan with its path ids replaced by per-packet link-id
+        tuples and last-hop indices, the form the Python kernels index
+        per hop; each distinct path id is materialized once."""
+        *head, pkt_pid, overflow = plan
+        tuples = self.routes.path_tuples(pkt_pid)
+        pkt_path = [tuples[pid] for pid in pkt_pid]
+        return (*head, pkt_path, [len(path) - 1 for path in pkt_path],
+                overflow)
 
     # ------------------------------------------------------------------
     def _initial_credits(self) -> list[int]:
@@ -288,19 +301,22 @@ class BatchedFlitSimulator(FlitSimulator):
         rec = recorder if recorder is not None else get_recorder()
         rng = random.Random(cfg.seed if seed is None else seed)
         plan = self._injection_plan(workload, rng, _trace)
-        if cfg.switch_model == "input-fifo":
-            stats = self._kernel_fifo(rec, plan)
-        elif not rec.enabled and native.available():
+        if (cfg.switch_model != "input-fifo" and not rec.enabled
+                and native.available()):
             # Telemetry off: phase B is flat arrays in, flat arrays out,
             # so the compiled kernel can take it verbatim.  A recording
             # recorder needs the python kernels' interval hooks.
             slack = cfg.wire_delay + cfg.packet_flits + cfg.routing_delay
-            stats = native.run_oq(plan, cfg, self._n_channels,
+            stats = native.run_oq(plan, self.routes, cfg, self._n_channels,
                                   self._initial_credits(), slack)
-        elif cfg.virtual_channels == 1:
-            stats = self._kernel_oq1(rec, plan)
         else:
-            stats = self._kernel_oq(rec, plan)
+            plan = self._with_paths(plan)
+            if cfg.switch_model == "input-fifo":
+                stats = self._kernel_fifo(rec, plan)
+            elif cfg.virtual_channels == 1:
+                stats = self._kernel_oq1(rec, plan)
+            else:
+                stats = self._kernel_oq(rec, plan)
         return self._finish(rec, workload, *stats)
 
     # ------------------------------------------------------------------

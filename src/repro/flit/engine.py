@@ -36,7 +36,10 @@ paper's discussion.
 from __future__ import annotations
 
 import random
+from collections.abc import Mapping
 from heapq import heappop, heappush
+
+import numpy as np
 
 from repro.errors import SimulationError
 from repro.flit.config import FlitConfig
@@ -45,6 +48,7 @@ from repro.flit.stats import FlitRunResult, delay_stats
 from repro.obs.recorder import get_recorder
 from repro.flit.workload import Workload
 from repro.routing.base import RoutingScheme
+from repro.routing.table import RouteTable
 from repro.routing.vectorized import compile_routes
 from repro.topology.xgft import XGFT
 
@@ -142,14 +146,12 @@ class FlitSimulator:
         else:
             self.routes = compile_routes(xgft, scheme)
         if self.degraded is not None and not self.degraded.is_pristine:
-            link_ok = self.degraded.link_ok
-            for paths in self.routes.values():
-                for path in paths:
-                    for c in path:
-                        if not link_ok[c]:
-                            raise SimulationError(
-                                f"route table references failed channel {c}; "
-                                f"wrap the scheme in DegradedScheme first")
+            dead = ~self.degraded.link_ok[self.routes.links]
+            if dead.any():
+                c = int(self.routes.links[np.argmax(dead)])
+                raise SimulationError(
+                    f"route table references failed channel {c}; "
+                    f"wrap the scheme in DegradedScheme first")
         self._n_procs = xgft.n_procs
         self._n_channels = xgft.n_links
 
@@ -158,7 +160,7 @@ class FlitSimulator:
         cls,
         n_hosts: int,
         n_channels: int,
-        routes: dict[int, list[tuple[int, ...]]],
+        routes: RouteTable | Mapping[int, list[tuple[int, ...]]],
         config: FlitConfig,
     ) -> "FlitSimulator":
         """Build a simulator from precompiled routes on an arbitrary
@@ -166,9 +168,11 @@ class FlitSimulator:
         compile_flit_routes` for a — possibly degraded — discovered
         fabric).
 
-        ``routes`` maps pair keys ``src * n_hosts + dst`` to non-empty
-        lists of channel-id paths; every ordered host pair that the
-        workload can produce must be present.
+        ``routes`` is a :class:`~repro.routing.table.RouteTable` over
+        ``n_hosts`` hosts, or a mapping from pair keys
+        ``src * n_hosts + dst`` to non-empty lists of channel-id paths
+        (converted once); every ordered host pair that the workload can
+        produce must be present.
 
         Keys and channel ids are validated up front: a route referencing
         a channel ``>= n_channels`` (or a key implying a negative or
@@ -179,24 +183,39 @@ class FlitSimulator:
         if n_hosts < 1 or n_channels < 1:
             raise SimulationError("need at least one host and one channel")
         n_pairs = n_hosts * n_hosts
-        for key, paths in routes.items():
-            if not 0 <= key < n_pairs:
+        if isinstance(routes, RouteTable):
+            if routes.n != n_hosts:
                 raise SimulationError(
-                    f"pair key {key} outside [0, {n_pairs}); keys are "
-                    f"src * n_hosts + dst with src, dst in [0, {n_hosts})")
-            if not paths:
-                raise SimulationError(f"pair key {key} has no paths")
-            for path in paths:
-                for c in path:
-                    if not 0 <= c < n_channels:
-                        raise SimulationError(
-                            f"route for pair key {key} references channel "
-                            f"{c} outside [0, {n_channels})")
+                    f"route table covers {routes.n} hosts, not {n_hosts}")
+            table = routes
+        else:
+            keys = np.fromiter(routes.keys(), dtype=np.int64,
+                               count=len(routes))
+            bad = (keys < 0) | (keys >= n_pairs)
+            if bad.any():
+                raise SimulationError(
+                    f"pair key {keys[np.argmax(bad)]} outside [0, {n_pairs}); "
+                    f"keys are src * n_hosts + dst with src, dst in "
+                    f"[0, {n_hosts})")
+            empty = np.fromiter(map(len, routes.values()), dtype=np.int64,
+                                count=len(routes)) == 0
+            if empty.any():
+                raise SimulationError(
+                    f"pair key {keys[np.argmax(empty)]} has no paths")
+            table = RouteTable.from_mapping(n_hosts, routes)
+        bad = (table.links < 0) | (table.links >= n_channels)
+        if bad.any():
+            pos = int(np.argmax(bad))
+            path = np.searchsorted(table.path_off, pos, side="right") - 1
+            key = np.searchsorted(table.pair_off, path, side="right") - 1
+            raise SimulationError(
+                f"route for pair key {key} references channel "
+                f"{table.links[pos]} outside [0, {n_channels})")
         sim = cls.__new__(cls)
         sim.xgft = None
         sim.scheme = None
         sim.config = config
-        sim.routes = routes
+        sim.routes = table
         sim.degraded = None
         sim._n_procs = n_hosts
         sim._n_channels = n_channels
@@ -265,6 +284,10 @@ class FlitSimulator:
                         credits[base + v] = 0
         requests: list[_Fifo] = [_Fifo() for _ in range(n_channels)]
         rr_state: dict[int, int] = {}
+        # Link-id tuples are materialized only for the pairs this run
+        # actually routes, once each.
+        routes = self.routes
+        pair_paths: dict[int, list[tuple[int, ...]]] = {}
 
         heap: list[tuple[int, int, int, object]] = []
         seq = 0
@@ -424,9 +447,11 @@ class FlitSimulator:
                     if measured:
                         messages_measured += 1
                         flits_created += cfg.message_flits
-                    paths = self.routes[host * n_procs + dst]
+                    key = host * n_procs + dst
+                    paths = pair_paths.get(key)
+                    if paths is None:
+                        paths = pair_paths[key] = routes[key]
                     if round_robin:
-                        key = host * n_procs + dst
                         base = rr_state.get(key, 0)
                         rr_state[key] = (base + cfg.packets_per_message) % len(paths)
                     elif not per_packet:

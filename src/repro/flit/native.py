@@ -23,7 +23,6 @@ import os
 import shutil
 import subprocess
 import tempfile
-from itertools import chain
 
 import numpy as np
 
@@ -102,14 +101,18 @@ def _ptr(a: np.ndarray):
         else ctypes.POINTER(ctypes.c_int64))
 
 
-def run_oq(plan, cfg, n_channels: int, initial_credits: list,
+def run_oq(plan, routes, cfg, n_channels: int, initial_credits: list,
            slack: int) -> tuple:
-    """Run phase B natively; returns the python kernels' stats tuple."""
+    """Run phase B natively; returns the python kernels' stats tuple.
+
+    The per-packet link arrays the kernel walks (``pkt_off`` and the
+    flat ``pkt_path``) are one gather from the plan's path ids into the
+    :class:`~repro.routing.table.RouteTable`.
+    """
     (ev_cycle, ev_msg, ev_child, n_initial, _msg_src, msg_created,
-     msg_measured, pkt_path, pkt_last, overflow) = plan
+     msg_measured, pkt_pid, overflow) = plan
     n_msgs = len(msg_created)
-    pkt_off = np.zeros(len(pkt_last) + 1, dtype=np.int64)
-    np.cumsum(np.asarray(pkt_last, dtype=np.int64) + 1, out=pkt_off[1:])
+    pkt_off, pkt_path = routes.gather(pkt_pid)
 
     params = np.zeros(_P_COUNT, dtype=np.int64)
     params[0] = len(ev_cycle)
@@ -136,9 +139,7 @@ def run_oq(plan, cfg, n_channels: int, initial_credits: list,
               np.ascontiguousarray(
                   np.frombuffer(bytes(msg_measured), dtype=np.uint8)
                   if n_msgs else np.zeros(1, dtype=np.uint8)),
-              _i64(pkt_off),
-              _i64(np.fromiter(chain.from_iterable(pkt_path),
-                               dtype=np.int64, count=int(pkt_off[-1]))),
+              _i64(pkt_off), _i64(pkt_path),
               credits, delays, out)
     rc = _lib.run_oq(*map(_ptr, arrays))
     if rc != 0:

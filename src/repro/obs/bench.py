@@ -29,6 +29,7 @@ whenever the reference hardware changes.
 from __future__ import annotations
 
 import json
+import math
 import os
 import platform as _platform
 import shutil
@@ -38,7 +39,7 @@ import tempfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from time import perf_counter, process_time
+from time import perf_counter, process_time, thread_time
 
 from repro.errors import ReproError
 from repro.util.tables import format_table
@@ -371,15 +372,30 @@ def bench_flit(quick: bool = True) -> BenchSnapshot:
     return BenchSnapshot.create("flit", metrics, checks=checks, quick=quick)
 
 
-def measure_obs_overhead(*, quick: bool = True, rounds: int = 7,
+#: shortest timed body in :func:`measure_obs_overhead`: ten times
+#: :data:`MIN_COMPARABLE_WALL_S` and four orders of magnitude above the
+#: thread CPU clock's resolution
+OBS_MIN_BODY_S = 0.01
+
+
+def measure_obs_overhead(*, quick: bool = True, rounds: int = 31,
                          reps: int = 5) -> dict:
     """Recorder overhead on the flow hot path (the <5 % budget).
 
-    Returns raw/disabled/enabled best-of timings plus the derived
-    overhead fractions and the budget verdict.  Shared by
-    ``benchmarks/bench_obs_overhead.py`` (which *asserts* the budget)
-    and :func:`bench_obs` (which snapshots the measured value).
+    Each timing covers at least ``reps`` calls and at least
+    :data:`OBS_MIN_BODY_S` seconds of thread CPU time, which a
+    preempting neighbour process does not inflate.  Every round times
+    the three variants back to back, and the overheads are the *median*
+    over rounds of each round's paired ratio to its own raw timing, so
+    a clock-speed change between rounds cancels out instead of landing
+    on one variant.  Returns the median per-call timings, the paired
+    overheads with the spread of the per-round values, and the budget
+    verdict.  Shared by ``benchmarks/bench_obs_overhead.py`` (which
+    *asserts* the budget) and :func:`bench_obs` (which snapshots the
+    measured value).
     """
+    import numpy as np
+
     from repro.flow.loads import link_loads
     from repro.flow.metrics import max_link_load
     from repro.flow.simulator import FlowSimulator
@@ -405,28 +421,39 @@ def measure_obs_overhead(*, quick: bool = True, rounds: int = 7,
             return sim.max_load(scheme, tm)
 
     raw(), disabled(), enabled()  # warm caches outside the timings
+    t0 = thread_time()
+    raw()
+    calls = max(reps, math.ceil(OBS_MIN_BODY_S / max(thread_time() - t0,
+                                                     1e-9)))
 
     def timed(fn):
-        t0 = perf_counter()
-        for _ in range(reps):
+        t0 = thread_time()
+        for _ in range(calls):
             fn()
-        return (perf_counter() - t0) / reps
+        return (thread_time() - t0) / calls
 
-    # Interleave the three variants within each round so clock-speed
-    # drift (turbo decay, a noisy neighbour) hits them symmetrically —
-    # measuring all raw rounds first would bias the overhead ratio.
-    t_raw = t_disabled = t_enabled = float("inf")
-    for _ in range(rounds):
-        t_raw = min(t_raw, timed(raw))
-        t_disabled = min(t_disabled, timed(disabled))
-        t_enabled = min(t_enabled, timed(enabled))
-    disabled_overhead = t_disabled / t_raw - 1.0
+    # Alternate the order within each round (raw first, then raw last)
+    # so a clock that drifts during a round biases neither variant.
+    variants = (raw, disabled, enabled)
+    per_round = []
+    for i in range(rounds):
+        order = variants if i % 2 == 0 else variants[::-1]
+        times = {fn: timed(fn) for fn in order}
+        per_round.append([times[fn] for fn in variants])
+    t = np.asarray(per_round)
+    disabled_ratio = t[:, 1] / t[:, 0] - 1.0
+    enabled_ratio = t[:, 2] / t[:, 0] - 1.0
+    disabled_overhead = float(np.median(disabled_ratio))
     return {
-        "raw_s": t_raw,
-        "disabled_s": t_disabled,
-        "enabled_s": t_enabled,
+        "raw_s": float(np.median(t[:, 0])),
+        "disabled_s": float(np.median(t[:, 1])),
+        "enabled_s": float(np.median(t[:, 2])),
         "disabled_overhead": disabled_overhead,
-        "enabled_overhead": t_enabled / t_raw - 1.0,
+        "disabled_overhead_iqr": float(np.subtract(
+            *np.percentile(disabled_ratio, [75, 25]))),
+        "enabled_overhead": float(np.median(enabled_ratio)),
+        "calls_per_timing": calls,
+        "rounds": rounds,
         "budget": OBS_OVERHEAD_BUDGET,
         "within_budget": disabled_overhead <= OBS_OVERHEAD_BUDGET,
     }
@@ -437,9 +464,11 @@ def bench_obs(quick: bool = True) -> BenchSnapshot:
 
     Always measures on the full-size topology: the hot-path call is
     sub-millisecond either way, and the quick (4x2) variant is so short
-    that scheduler noise dwarfs the 5 % budget the check enforces.
+    that scheduler noise dwarfs the 5 % budget the check enforces.  The
+    recorded times are thread CPU time per call (see
+    :func:`measure_obs_overhead`).
     """
-    measured = measure_obs_overhead(quick=False, rounds=9, reps=7)
+    measured = measure_obs_overhead(quick=False)
     metrics = {
         "flow_hot_path_raw": {
             "wall_s": measured["raw_s"], "cpu_s": measured["raw_s"],
@@ -447,6 +476,7 @@ def bench_obs(quick: bool = True) -> BenchSnapshot:
         "flow_hot_path_disabled_recorder": {
             "wall_s": measured["disabled_s"], "cpu_s": measured["disabled_s"],
             "overhead_fraction": measured["disabled_overhead"],
+            "overhead_iqr": measured["disabled_overhead_iqr"],
             "budget_fraction": measured["budget"],
         },
         "flow_hot_path_enabled_recorder": {

@@ -19,6 +19,7 @@ from repro.routing.heuristics import (
 )
 from repro.routing.modk import DModK, SModK, modk_path_index
 from repro.routing.path import Path, build_path, check_path
+from repro.routing.table import RouteTable
 
 __all__ = [
     "RoutingScheme",
@@ -26,6 +27,7 @@ __all__ = [
     "RouteSet",
     "CompiledScheme",
     "compile_scheme",
+    "RouteTable",
     "PathCodec",
     "path_codec",
     "disjoint_order",

@@ -40,6 +40,7 @@ import numpy as np
 from repro.errors import RoutingError
 from repro.obs.recorder import get_recorder
 from repro.routing.base import RoutingScheme
+from repro.routing.table import RouteTable
 from repro.routing.vectorized import path_link_matrix
 from repro.topology.xgft import XGFT
 
@@ -306,40 +307,31 @@ class CompiledScheme:
         return rows
 
     # -- derived tables ------------------------------------------------
-    def route_table(self, pairs: np.ndarray | None = None) -> dict[int, list[tuple[int, ...]]]:
-        """The flit simulator's route table, read off the stored
-        incidence (same contract as
-        :func:`repro.routing.vectorized.compile_routes`)."""
-        n = self.xgft.n_procs
-
-        def row_paths(lv: CompiledLevel, row: int) -> list[tuple[int, ...]]:
+    def route_table(self, pairs: np.ndarray | None = None) -> RouteTable:
+        """The flit simulator's route table, read off the stored levels
+        (same contract as :func:`repro.routing.vectorized.compile_routes`)."""
+        def keep(lv: CompiledLevel, rows=slice(None)):
             # Masked plans pad short rows with weight-0 duplicates; the
-            # flit simulator picks uniformly from the list, so padding
-            # must not reach it.
-            if lv.pair_weights is None:
-                return [tuple(map(int, path)) for path in lv.links[row]]
-            return [tuple(map(int, path))
-                    for path, w in zip(lv.links[row], lv.pair_weights[row])
-                    if w > 0.0]
+            # flit simulator picks uniformly from a pair's paths, so
+            # padding must not reach it.
+            return None if lv.pair_weights is None else lv.pair_weights[rows] > 0.0
 
-        table: dict[int, list[tuple[int, ...]]] = {}
+        n = self.xgft.n_procs
         if pairs is None:
-            for lv in self.levels.values():
-                for row in range(lv.n_pairs):
-                    table[int(lv.keys[row])] = row_paths(lv, row)
-            return table
+            return RouteTable.from_levels(
+                n, [(lv.keys, lv.links, keep(lv)) for lv in self.levels.values()])
         pairs = np.asarray(pairs, dtype=np.int64)
         s_all, d_all = pairs[:, 0], pairs[:, 1]
         if np.any(s_all == d_all):
             raise ValueError("self-pairs have no network route")
         k_arr = self.xgft.nca_level(s_all, d_all)
-        for k in np.unique(k_arr):
+        parts = []
+        for k in np.unique(k_arr).tolist():
             mask = k_arr == k
-            lv = self._level(int(k))
-            rows = self._rows(int(k), s_all[mask], d_all[mask])
-            for key, row in zip(s_all[mask] * n + d_all[mask], rows):
-                table[int(key)] = row_paths(lv, int(row))
-        return table
+            lv = self._level(k)
+            rows = self._rows(k, s_all[mask], d_all[mask])
+            parts.append((lv.keys[rows], lv.links[rows], keep(lv, rows)))
+        return RouteTable.from_levels(n, parts)
 
 
 def compile_scheme(xgft: XGFT, scheme: RoutingScheme) -> CompiledScheme:

@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.routing.base import RoutingScheme
 from repro.routing.enumeration import path_codec
+from repro.routing.table import RouteTable
 from repro.topology.xgft import XGFT
 
 
@@ -56,8 +57,8 @@ def path_link_matrix(
 
 def compile_routes(
     xgft: XGFT, scheme: RoutingScheme, pairs: np.ndarray | None = None
-) -> dict[int, list[tuple[int, ...]]]:
-    """Materialize path link sequences for SD pairs.
+) -> RouteTable:
+    """Build the flit engine's :class:`~repro.routing.table.RouteTable`.
 
     Parameters
     ----------
@@ -67,9 +68,11 @@ def compile_routes(
 
     Returns
     -------
-    Mapping from pair key ``src * n_procs + dst`` to the list of the
-    pair's path link-id tuples (in the scheme's path order; fractions are
-    ``scheme.fractions(k)``).
+    The CSR table over pair keys ``src * n_procs + dst``: each pair's
+    paths in the scheme's path order (fractions are
+    ``scheme.fractions(k)``).  Per NCA level this is one
+    ``path_index_matrix``/``path_link_matrix`` evaluation plus a
+    scatter — no Python loop per pair or per path.
     """
     if hasattr(scheme, "route_table"):
         # Compiled plans already hold the per-pair link incidence —
@@ -87,7 +90,7 @@ def compile_routes(
         if np.any(s_all == d_all):
             raise ValueError("self-pairs have no network route")
 
-    table: dict[int, list[tuple[int, ...]]] = {}
+    parts = []
     k_arr = xgft.nca_level(s_all, d_all)
     for k in range(1, xgft.h + 1):
         mask = k_arr == k
@@ -95,19 +98,9 @@ def compile_routes(
             continue
         s, d = s_all[mask], d_all[mask]
         idx = scheme.path_index_matrix(s, d, k)
-        links = path_link_matrix(xgft, s, d, idx, k)
-        keys = s * n + d
         pair_w = scheme.path_weight_matrix(s, d, k)
-        if pair_w is None:
-            for row, key in enumerate(keys):
-                table[int(key)] = [tuple(map(int, path)) for path in links[row]]
-        else:
-            # Fault-aware schemes pad short rows with weight-0 duplicates;
-            # concrete path lists must not contain them.
-            for row, key in enumerate(keys):
-                table[int(key)] = [
-                    tuple(map(int, path))
-                    for path, w in zip(links[row], pair_w[row])
-                    if w > 0.0
-                ]
-    return table
+        # Fault-aware schemes pad short rows with weight-0 duplicates;
+        # concrete path lists must not contain them.
+        keep = None if pair_w is None else np.asarray(pair_w) > 0.0
+        parts.append((s * n + d, path_link_matrix(xgft, s, d, idx, k), keep))
+    return RouteTable.from_levels(n, parts)

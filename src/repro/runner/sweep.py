@@ -31,6 +31,8 @@ from __future__ import annotations
 from dataclasses import asdict
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from repro.errors import RunnerError
 from repro.flit.engine import FlitSimulator
 from repro.flit.stats import FlitRunResult
@@ -50,19 +52,26 @@ def point_seed(config, rep: int) -> int:
 
 def point_key(label: str, sim: FlitSimulator, load: float, rep: int,
               workload_factory=UniformRandom) -> str:
-    """Cache key for one (scheme, load, repeat) grid point."""
+    """Cache key for one (scheme, load, repeat) grid point.
+
+    The simulator is keyed by what its runs consume: the content digest
+    of its route table (memoized on the table), its dead channels and
+    its dimensions.  Under one scheme label, simulators with equal
+    tables, masks and configs share results, and any difference in a
+    path or a failed channel changes the key.
+    """
     scheme = sim.scheme
-    if sim.xgft is not None:
-        topology = repr(sim.xgft)
-    else:  # from_tables simulators: identified by their table shape
-        topology = f"tables:{sim._n_procs}h:{sim._n_channels}c"
+    degraded = sim.degraded
+    dead = ([] if degraded is None
+            else np.flatnonzero(~degraded.link_ok).tolist())
     return cache_key({
         "kind": "flit_run",
         "code_version": _version(),
-        "topology": topology,
+        "hosts": sim._n_procs,
+        "channels": sim._n_channels,
+        "routes": sim.routes.digest,
+        "dead_channels": dead,
         "scheme": scheme.label if scheme is not None else label,
-        "scheme_repr": repr(scheme) if scheme is not None else None,
-        "scheme_seed": getattr(scheme, "seed", None),
         "config": asdict(sim.config),
         "workload": getattr(workload_factory, "__qualname__",
                             repr(workload_factory)),

@@ -13,6 +13,7 @@ from repro.errors import SimulationError
 from repro.flit.config import FlitConfig
 from repro.flit.engine import FlitSimulator
 from repro.flit.traces import TraceEntry
+from repro.routing.table import RouteTable
 
 #: pair key 0 -> 1 on a 2-host graph
 PAIR = 0 * 2 + 1
@@ -140,3 +141,57 @@ class TestFromTablesValidation:
             FlitSimulator.from_tables(0, 3, {}, self._cfg())
         with pytest.raises(SimulationError, match="at least one"):
             FlitSimulator.from_tables(2, 0, {}, self._cfg())
+
+
+
+def _cfg():
+    return FlitConfig(warmup_cycles=0, measure_cycles=100, drain_cycles=100)
+
+
+def _as(kind, routes):
+    """The same 2-host routes as a plain mapping or a prebuilt table."""
+    return routes if kind == "mapping" else RouteTable.from_mapping(2, routes)
+
+
+class TestFromTablesBoundaries:
+    """Accept/reject edges of the vectorized ``from_tables`` checks
+    (``n_hosts=2``, so keys lie in [0, 4); ``n_channels=3``)."""
+
+    @pytest.mark.parametrize("kind", ["mapping", "route-table"])
+    @pytest.mark.parametrize("channel,accepted", [
+        (0, True),
+        (2, True),    # n_channels - 1: the last valid channel
+        (3, False),   # n_channels
+        (-1, False),
+    ])
+    def test_channel_bounds(self, kind, channel, accepted):
+        routes = _as(kind, {PAIR: [(channel,)]})
+        if accepted:
+            sim = FlitSimulator.from_tables(2, 3, routes, _cfg())
+            assert sim.routes[PAIR] == [(channel,)]
+            return
+        with pytest.raises(SimulationError,
+                           match=rf"pair key {PAIR} references channel "
+                                 rf"{channel} outside \[0, 3\)"):
+            FlitSimulator.from_tables(2, 3, routes, _cfg())
+
+    @pytest.mark.parametrize("kind", ["mapping", "route-table"])
+    @pytest.mark.parametrize("key", [0, 3])  # 3 = n_hosts**2 - 1
+    def test_keys_in_pair_space_accepted(self, kind, key):
+        sim = FlitSimulator.from_tables(2, 3, _as(kind, {key: [SHORT]}),
+                                        _cfg())
+        assert list(sim.routes) == [key]
+
+    @pytest.mark.parametrize("key", [4, 5, -1])  # 4 = n_hosts**2
+    def test_keys_outside_pair_space_rejected(self, key):
+        with pytest.raises(SimulationError, match=rf"pair key {key} outside"):
+            FlitSimulator.from_tables(2, 3, {key: [SHORT]}, _cfg())
+
+    def test_pair_with_zero_paths_rejected(self):
+        with pytest.raises(SimulationError, match="pair key 1 has no paths"):
+            FlitSimulator.from_tables(2, 3, {2: [SHORT], PAIR: []}, _cfg())
+
+    def test_table_host_count_must_match(self):
+        table = RouteTable.from_mapping(3, {PAIR: [SHORT]})
+        with pytest.raises(SimulationError, match="covers 3 hosts, not 2"):
+            FlitSimulator.from_tables(2, 3, table, _cfg())

@@ -188,7 +188,9 @@ class TestRunBenchmarks:
     def test_measure_obs_overhead_fields(self):
         m = measure_obs_overhead(quick=True, rounds=2, reps=2)
         assert set(m) == {"raw_s", "disabled_s", "enabled_s",
-                          "disabled_overhead", "enabled_overhead",
+                          "disabled_overhead", "disabled_overhead_iqr",
+                          "enabled_overhead", "calls_per_timing", "rounds",
                           "budget", "within_budget"}
+        assert m["rounds"] == 2 and m["calls_per_timing"] >= 2
         assert m["budget"] == OBS_OVERHEAD_BUDGET
         assert m["raw_s"] > 0 and m["disabled_s"] > 0 and m["enabled_s"] > 0
