@@ -16,10 +16,9 @@ traced through a discovered fabric
 
 A path is therefore a single int, which the flit engine's injection
 plan carries per packet; the native kernel gathers its flat link array
-straight from ``path_off``/``links`` and the Python kernels materialize
-tuples only for the path ids a run actually uses.  The table also reads
-as a ``Mapping`` from pair key to the pair's list of link-id tuples, so
-code written against the earlier dict-of-tuples tables keeps working.
+straight from ``path_off``/``links``.  The table also reads as a
+``Mapping`` from pair key to the pair's list of link-id tuples, so code
+written against the earlier dict-of-tuples tables keeps working.
 """
 
 from __future__ import annotations
@@ -149,14 +148,6 @@ class RouteTable(Mapping):
         starts = self.path_off[pids]
         off = _offsets(self.path_off[pids + 1] - starts)
         return off, self.links[_ranges(starts, off)]
-
-    def path_tuples(self, pids) -> dict[int, tuple[int, ...]]:
-        """Path id -> link-id tuple for the distinct ids in ``pids``."""
-        uniq = np.unique(np.asarray(pids, dtype=np.int64))
-        off, links = self.gather(uniq)
-        off, links = off.tolist(), links.tolist()
-        return {pid: tuple(links[off[i]:off[i + 1]])
-                for i, pid in enumerate(uniq.tolist())}
 
     @property
     def digest(self) -> str:

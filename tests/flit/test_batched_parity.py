@@ -4,14 +4,16 @@ The batched engine's contract is *bit-identical* results — every
 ``FlitRunResult`` field equal (NaN-tolerant for the no-traffic
 statistics) across scheme families, tree shapes, switch models, VC
 counts, path-selection modes, traces, degraded fabrics and telemetry.
-Each case runs twice via the ``kernel`` fixture: once with the
-compiled C kernel allowed (skipped when no compiler is present) and
-once forced onto the pure-python kernels, so the fallback path is a
-first-class citizen of the parity contract.
+Each case runs twice via the ``kernel`` fixture: once on the compiled
+C kernel (skipped when no compiler is present) and once with the
+kernel reported unavailable, where the batched engine must hand the
+run to the pure-Python reference engine.  ``test_fallback_without_kernel``
+covers the real failure modes (no compiler, a failing build).
 """
 
 from __future__ import annotations
 
+import logging
 import math
 
 import pytest
@@ -40,10 +42,8 @@ from repro.topology import XGFT, m_port_n_tree
 def kernel(request, monkeypatch):
     """Run the test body once per batched-engine backend."""
     if request.param == "python":
-        # Pretend the load already failed: available() returns False and
-        # the batched engine stays on the pure-python kernels.
-        monkeypatch.setattr(native, "_lib", None)
-        monkeypatch.setattr(native, "_load_attempted", True)
+        # No kernel: the batched engine runs the reference engine.
+        monkeypatch.setattr(native, "available", lambda: False)
     elif not native.available():
         pytest.skip("no C compiler available for the native kernel")
     return request.param
@@ -136,14 +136,15 @@ def test_degraded_parity(kernel):
 
 
 @pytest.mark.parametrize("model", ["output-queued", "input-fifo"])
-def test_recorder_parity(model):
+@pytest.mark.parametrize("vcs", [1, 2])
+def test_recorder_parity(kernel, model, vcs):
     """With telemetry on, counters, events and histograms must match
-    too (the batched engine flushes intervals per bucket, the reference
-    per event — same cycles, same values)."""
+    too (the kernel flushes intervals per bucket, the reference per
+    event — same cycles, same values, input-FIFO occupancy included)."""
     xgft = m_port_n_tree(4, 2)
     cfg = FlitConfig(warmup_cycles=100, measure_cycles=400,
                      drain_cycles=600, switch_model=model,
-                     obs_interval=50, seed=21)
+                     virtual_channels=vcs, obs_interval=50, seed=21)
     ref, bat = both(xgft, "random:2", cfg)
     r_ref, r_bat = Recorder(), Recorder()
     a = ref.run(UniformRandom(0.7), recorder=r_ref)
@@ -151,6 +152,10 @@ def test_recorder_parity(model):
     assert_bit_identical(a, b)
     assert r_ref.counters == r_bat.counters
     assert r_ref.events == r_bat.events
+    intervals = r_bat.events_of("flit_interval")
+    assert len(intervals) >= cfg.end_of_window // cfg.obs_interval
+    if model == "input-fifo":
+        assert any(e["occupancy"] for e in intervals)
     assert ({k: h.to_dict() for k, h in r_ref.hists.items()}
             == {k: h.to_dict() for k, h in r_bat.hists.items()})
 
@@ -233,3 +238,43 @@ def test_dense_horizon_fallback(monkeypatch):
     ref, bat = both(xgft, "disjoint:2", cfg)
     workload = UniformRandom(0.5)
     assert_bit_identical(ref.run(workload), bat.run(workload))
+
+
+@pytest.mark.parametrize("failure", ["missing", "failing"])
+def test_fallback_without_kernel(failure, monkeypatch, tmp_path, caplog):
+    """No compiler, or a compiler that fails: the kernel is unavailable,
+    the reason is kept and logged once, and the batched engine still
+    returns the reference's bits."""
+    bindir = tmp_path / "bin"
+    bindir.mkdir()
+    if failure == "failing":
+        cc = bindir / "cc"
+        cc.write_text("#!/bin/sh\necho 'kernel.c: error: no luck' >&2\n"
+                      "exit 1\n")
+        cc.chmod(0o755)
+    monkeypatch.setenv("PATH", str(bindir))
+    monkeypatch.setenv("REPRO_KERNEL_CACHE", str(tmp_path / "cache"))
+    monkeypatch.setattr(native, "_lib", None)
+    monkeypatch.setattr(native, "_load_attempted", False)
+    monkeypatch.setattr(native, "_reason", None)
+
+    with caplog.at_level(logging.WARNING, logger=native.__name__):
+        assert not native.available()
+        assert not native.available()
+    reason = native.unavailable_reason()
+    if failure == "missing":
+        assert reason.startswith("no C compiler")
+    else:
+        assert "failed to build kernel.c" in reason and "no luck" in reason
+    logged = [r for r in caplog.records if r.name == native.__name__]
+    assert len(logged) == 1 and reason in logged[0].getMessage()
+
+    xgft = m_port_n_tree(4, 2)
+    cfg = FlitConfig(warmup_cycles=100, measure_cycles=300,
+                     drain_cycles=400, switch_model="input-fifo", seed=4)
+    ref, bat = both(xgft, "disjoint:2", cfg)
+    r_ref, r_bat = Recorder(), Recorder()
+    workload = UniformRandom(0.5)
+    assert_bit_identical(ref.run(workload, recorder=r_ref),
+                         bat.run(workload, recorder=r_bat))
+    assert r_ref.events == r_bat.events
