@@ -211,6 +211,10 @@ def run_instrumented(
     accepted everywhere).  The churn keywords (``churn_events`` stream
     length, ``churn_seed`` trace seed) reach churn-aware experiments as
     ``n_events`` / ``churn_seed``, and are an error elsewhere.
+
+    Experiments that simulate at the flit level record how their runs
+    executed in ``manifest.extra["flit_kernel"]``: ``"native"``, or
+    ``"reference: <reason>"`` (several labels are joined with ``"; "``).
     """
     rec = recorder if recorder is not None else get_recorder()
     experiment = get_experiment(name)
@@ -264,10 +268,17 @@ def run_instrumented(
     )
     if seed is not None:
         kwargs["seed"] = seed
+    from repro.flit.engine import kernel_runs
+
+    kernels_before = kernel_runs()
     t0 = perf_counter()
     with use_recorder(rec), rec.timer(f"experiment.{name}"):
         result = run_experiment(name, fidelity_name=fidelity_name, **kwargs)
     manifest.wall_time_s = perf_counter() - t0
+    kernels = kernel_runs() - kernels_before
+    if kernels:
+        # How the flit runs executed: "native" or "reference: <reason>".
+        manifest.extra["flit_kernel"] = "; ".join(sorted(kernels))
     for attr, field in (("samples_used", "samples_used"),
                         ("topology", "topology")):
         value = getattr(result, attr, None)

@@ -1,54 +1,62 @@
-"""Batched flit engine: a Python injection plan, then a native kernel.
+"""Batched flit engine: the whole run in one native kernel call.
 
 ``BatchedFlitSimulator`` produces exactly the event sequence of
 :class:`repro.flit.engine.FlitSimulator` — same results, same telemetry,
-bit for bit — but splits a run into two phases:
+bit for bit — in two phases, both in ``kernel.c`` (compiled on demand
+by :mod:`repro.flit.native`) and both run by one
+:func:`repro.flit.native.run_oq` call:
 
-* **Injection plan (phase A, Python).**  Every RNG draw in the reference
+* **Injection plan (phase A, C).**  Every RNG draw in the reference
   happens while processing an ``_INJECT`` event, and the relative order
   of inject events is independent of the network simulation (each
   host's next arrival depends only on its own Poisson clock).  The plan
-  therefore pre-walks the injection process alone — a small heap over
-  hosts replicating the reference's draw order exactly (destination,
-  path choices, arrival clock, per pop) — and materializes flat
-  per-message and per-packet arrays: source, creation cycle, measured
-  flag, and one :class:`~repro.routing.table.RouteTable` path id per
-  packet.
+  therefore pre-walks the injection process alone — per-host clocks
+  and a ``(cycle, event id)`` heap, replicating the reference's draw
+  order exactly (destination, path choices, arrival clock, per pop) —
+  with a C copy of CPython's MT19937 seeded from
+  ``random.Random(seed).getstate()``.  Each built-in workload hands the
+  kernel its destination rule as data (``Workload._native_rule``:
+  uniform, a destination table, or a hotspot set); a trace hands over
+  its entries and their stable cycle order.
 
-* **Event processing (phase B, C).**  Phase B is then RNG-free integer
-  work, so it runs in ``kernel.c`` (compiled on demand by
-  :mod:`repro.flit.native`): a calendar queue with one bucket per cycle
-  that reproduces the reference heap's ``(time, seq)`` order, intrusive
-  request queues and input buffers, both switch models, any VC count,
-  and the per-interval telemetry rows, which :meth:`run` re-emits as
-  ``flit_interval`` events.  Whether a recorder is enabled therefore
-  never changes which code runs.
+* **Event processing (phase B, C).**  Phase B is RNG-free integer
+  work: a calendar queue with one bucket per cycle that reproduces the
+  reference heap's ``(time, seq)`` order, intrusive request queues and
+  input buffers, both switch models, any VC count, and the
+  per-interval telemetry rows, which :meth:`run` re-emits as
+  ``flit_interval`` events.  Packets read their channels straight from
+  the :class:`~repro.routing.table.RouteTable`.  Whether a recorder is
+  enabled therefore never changes which code runs.
 
-Phase B has exactly one other implementation, the reference engine
-itself: :meth:`run` delegates to :meth:`FlitSimulator.run` when no C
-compiler can build the kernel (:func:`repro.flit.native.
-unavailable_reason` says why) or when the horizon is too long for a
-per-cycle calendar (:data:`_DENSE_HORIZON_LIMIT`).  The reference stays
-the oracle either way.
+The kernel has exactly one alternative, the reference engine itself:
+:meth:`run` hands a run to the reference event loop when the kernel is
+unavailable (no C compiler, or its generator does not match this
+interpreter's :mod:`random`; :func:`repro.flit.native.
+unavailable_reason` says why), when the horizon is too long for a
+per-cycle calendar (:data:`_DENSE_HORIZON_LIMIT`), or when a custom
+:class:`~repro.flit.workload.Workload` subclass has no native form.
+The last two are logged once per process, and every run's path is
+counted by label (:func:`repro.flit.engine.kernel_runs`), which flit
+experiments record in their run manifest as ``flit_kernel``.
 
 Parity contract: every :class:`~repro.flit.stats.FlitRunResult` field,
 the ``flit.*`` recorder counters, the message-delay histogram, and the
 per-interval ``flit_interval`` telemetry are bit-identical to the
-reference for any seed, config, scheme, or trace;
+reference for any seed, config, scheme, workload, or trace;
 ``tests/flit/test_batched_parity.py`` enforces this differentially.
 """
 
 from __future__ import annotations
 
+import logging
 import random
-from heapq import heappop, heappush
 
 import numpy as np
 
 from repro.errors import SimulationError
 from repro.flit import native
 from repro.flit.config import FlitConfig
-from repro.flit.engine import FlitSimulator
+from repro.flit.engine import FlitSimulator, _kernel_runs
 from repro.flit.stats import FlitRunResult, delay_stats
 from repro.flit.workload import Workload
 from repro.obs.recorder import get_recorder
@@ -57,6 +65,9 @@ from repro.obs.recorder import get_recorder
 #: front); configs past this fall back to the reference's sparse heap,
 #: where a per-cycle structure would dwarf the event set.
 _DENSE_HORIZON_LIMIT = 262_144
+
+#: Hand-off reasons already logged by this process.
+_logged: set[str] = set()
 
 #: Registered flit engines, mirroring the flow layer's selector.
 ENGINES = ("reference", "batched")
@@ -97,128 +108,6 @@ class BatchedFlitSimulator(FlitSimulator):
     True
     """
 
-    # ------------------------------------------------------------------
-    def _injection_plan(self, workload: Workload | None, rng: random.Random,
-                        trace):
-        """Phase A: replay the arrival process alone, in the reference's
-        exact draw order, into flat arrays.
-
-        Returns ``(ev_cycle, ev_msg, ev_child, n_initial, msg_src,
-        msg_created, msg_measured, pkt_pid, overflow)``: injection
-        events in *push order* (cycle, message id or -1 for a silent
-        poll, successor event id or -1), per-message state, one
-        :class:`~repro.routing.table.RouteTable` path id per packet, and
-        whether any event lands past the horizon (which pins
-        ``sim_cycles`` to the horizon, as in the reference).
-        """
-        cfg = self.config
-        n_procs = self._n_procs
-        pair_off = self.routes.pair_off
-        ppm = cfg.packets_per_message
-        warmup = cfg.warmup_cycles
-        window_end = cfg.end_of_window
-        horizon = cfg.horizon
-        per_packet = cfg.path_selection == "per-packet"
-        round_robin = cfg.path_selection == "round-robin"
-
-        ev_cycle: list[int] = []
-        ev_msg: list[int] = []
-        ev_child: list[int] = []
-        msg_src: list[int] = []
-        msg_created: list[int] = []
-        msg_measured: list[bool] = []
-        pkt_pid: list[int] = []
-        pkt_append = pkt_pid.append
-        # pair key -> (first path id, path count), read once per pair
-        spans: dict[int, tuple[int, int]] = {}
-        rr_state: dict[int, int] = {}
-        overflow = False
-        randrange = rng.randrange
-
-        def emit_message(host: int, dst: int, cyc: int) -> None:
-            msg_src.append(host)
-            msg_created.append(cyc)
-            msg_measured.append(warmup <= cyc < window_end)
-            key = host * n_procs + dst
-            span = spans.get(key)
-            if span is None:
-                first, stop = pair_off[key:key + 2].tolist()
-                span = spans[key] = (first, stop - first)
-            first, n_paths = span
-            if round_robin:
-                base = rr_state.get(key, 0)
-                rr_state[key] = (base + ppm) % n_paths
-                for j in range(ppm):
-                    pkt_append(first + (base + j) % n_paths)
-            elif per_packet:
-                for _ in range(ppm):
-                    pkt_append(first + randrange(n_paths))
-            else:
-                pid = first + randrange(n_paths)
-                for _ in range(ppm):
-                    pkt_append(pid)
-
-        if trace is not None:
-            n_initial = len(trace)
-            ev_cycle = [e.cycle for e in trace]
-            ev_msg = [-1] * n_initial
-            ev_child = [-1] * n_initial
-            # Stable sort = the heap's (cycle, push seq) tie-break.
-            if n_initial:
-                order = np.argsort(
-                    np.fromiter((e.cycle for e in trace), dtype=np.int64,
-                                count=n_initial),
-                    kind="stable")
-                for i in order.tolist():
-                    cyc = ev_cycle[i]
-                    if cyc > horizon:
-                        overflow = True
-                        break
-                    dst = trace[i].dst
-                    if dst >= 0:
-                        ev_msg[i] = len(msg_src)
-                        emit_message(trace[i].src, dst, cyc)
-        else:
-            mean_gap = workload.mean_interarrival(cfg.message_flits)
-            rate = 1.0 / mean_gap
-            expovariate = rng.expovariate
-            clock = [0.0] * n_procs
-            ev_host: list[int] = []
-            heap: list[tuple[int, int]] = []
-            for host in range(n_procs):
-                clock[host] = expovariate(rate)
-                cyc = int(clock[host]) + 1
-                ev_cycle.append(cyc)
-                ev_msg.append(-1)
-                ev_child.append(-1)
-                ev_host.append(host)
-                heappush(heap, (cyc, host))
-            n_initial = n_procs
-            while heap:
-                cyc, e = heappop(heap)
-                if cyc > horizon:
-                    overflow = True
-                    break
-                host = ev_host[e]
-                dst = workload.pick_destination(host, n_procs, rng)
-                if dst >= 0:
-                    ev_msg[e] = len(msg_src)
-                    emit_message(host, dst, cyc)
-                nclock = clock[host] + expovariate(rate)
-                clock[host] = nclock
-                nxt = int(nclock) + 1
-                if nxt < window_end:
-                    cid = len(ev_cycle)
-                    ev_cycle.append(nxt)
-                    ev_msg.append(-1)
-                    ev_child.append(-1)
-                    ev_host.append(host)
-                    ev_child[e] = cid
-                    heappush(heap, (nxt, cid))
-
-        return (ev_cycle, ev_msg, ev_child, n_initial, msg_src, msg_created,
-                msg_measured, pkt_pid, overflow)
-
     def _initial_credits(self) -> list[int]:
         n_vcs = self.config.virtual_channels
         credits = [self.config.buffer_packets] * (self._n_channels * n_vcs)
@@ -240,19 +129,30 @@ class BatchedFlitSimulator(FlitSimulator):
         if workload is None and _trace is None:
             raise SimulationError("need a workload or a trace")
         cfg = self.config
-        if cfg.horizon > _DENSE_HORIZON_LIMIT or not native.available():
+        rule = None
+        if not native.available():
+            reason = "native kernel unavailable"  # logged by native
+        elif cfg.horizon > _DENSE_HORIZON_LIMIT:
             # Past the limit a per-cycle calendar would be bigger than
             # the event set, and the sparse reference heap is the right
-            # structure; without the kernel the reference is the only
-            # phase B (native.unavailable_reason() says why).
-            return FlitSimulator.run(self, workload, seed=seed,
-                                     recorder=recorder, _trace=_trace)
+            # structure.
+            reason = (f"horizon of {cfg.horizon} cycles is past the "
+                      f"{_DENSE_HORIZON_LIMIT}-cycle calendar limit")
+        else:
+            rule = (_trace_rule(_trace) if _trace is not None
+                    else _workload_rule(workload, self._n_procs,
+                                        cfg.message_flits))
+            reason = (f"workload {type(workload).__name__} has no native "
+                      f"form")
+        if rule is None:
+            _hand_off(reason)
+            return self._simulate(workload, seed, recorder, _trace)
+        _kernel_runs["native"] += 1
         rec = recorder if recorder is not None else get_recorder()
-        rng = random.Random(cfg.seed if seed is None else seed)
-        plan = self._injection_plan(workload, rng, _trace)
+        state = random.Random(cfg.seed if seed is None else seed).getstate()
         stats, intervals = native.run_oq(
-            plan, self.routes, cfg, self._n_procs, self._n_channels,
-            self._initial_credits(), rec.enabled)
+            rule, state[1], self.routes, cfg, self._n_procs,
+            self._n_channels, self._initial_credits(), rec.enabled)
         for t, injected, delivered, stalls, occupancy in intervals:
             rec.event("flit_interval", t=t, injected=injected,
                       delivered=delivered, credit_stalls=stalls,
@@ -289,3 +189,46 @@ class BatchedFlitSimulator(FlitSimulator):
             sim_cycles=min(sim_cycles, cfg.horizon),
             events=events,
         )
+
+
+def _hand_off(reason: str) -> None:
+    """Count a run handed to the reference engine; log each new reason
+    once per process (an unavailable kernel is logged by
+    :func:`repro.flit.native.available`)."""
+    _kernel_runs[f"reference: {reason}"] += 1
+    if reason not in _logged and native.available():
+        _logged.add(reason)
+        logging.getLogger(__name__).warning(
+            "batched flit engine runs the reference engine: %s", reason)
+
+
+def _workload_rule(workload: Workload, n_procs: int, message_flits: int):
+    """The kernel's plan input for a stochastic workload, or ``None``
+    when it has no native form.  A subclass that overrides
+    ``pick_destination`` below the class describing the rule draws
+    differently, so it has none either."""
+    cls = type(workload)
+    owner = next(c for c in cls.__mro__ if "_native_rule" in vars(c))
+    if cls.pick_destination is not owner.pick_destination:
+        return None
+    form = workload._native_rule(n_procs)
+    if form is None:
+        return None
+    name, data, hot_fraction = form
+    rate = 1.0 / workload.mean_interarrival(message_flits)
+    return name, data, rate, float(hot_fraction)
+
+
+def _trace_rule(trace):
+    """The kernel's plan input for a trace: cycle, src and dst rows, plus
+    the stable cycle order (the reference heap's ``(cycle, push seq)``
+    tie-break)."""
+    n = len(trace)
+    data = np.empty((4, n), dtype=np.int64)
+    data[0] = np.fromiter((e.cycle for e in trace), dtype=np.int64, count=n)
+    data[1] = np.fromiter((e.src for e in trace), dtype=np.int64, count=n)
+    data[2] = np.fromiter((e.dst for e in trace), dtype=np.int64, count=n)
+    if n and data[0].min() < 0:
+        raise SimulationError("trace entries need cycles >= 0")
+    data[3] = np.argsort(data[0], kind="stable")
+    return "trace", data, 0.0, 0.0

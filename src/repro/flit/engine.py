@@ -36,6 +36,7 @@ paper's discussion.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from collections.abc import Mapping
 from heapq import heappop, heappush
 
@@ -59,6 +60,23 @@ _PORT_FREE = 2    # payload: channel id — output port finished a packet
 _CREDIT = 3       # payload: channel id — downstream slot freed
 _DELIVER = 4      # payload: Packet — tail reached the destination host
 _HEAD_READY = 5   # payload: buffer id — buffer read port free for next head
+
+
+#: Flit runs made by this process, per kernel label (:func:`kernel_runs`).
+_kernel_runs: Counter[str] = Counter()
+
+
+def kernel_runs() -> Counter[str]:
+    """How this process's flit runs have been executed so far: a copy of
+    the run count per label, ``"native"`` (the batched engine's C
+    kernel) or ``"reference: <reason>"`` (this module's event loop).
+    Flit experiments record the labels of their runs in the manifest."""
+    return Counter(_kernel_runs)
+
+
+def note_kernel_runs(runs: Mapping[str, int]) -> None:
+    """Add runs made for this process elsewhere (by a pool worker)."""
+    _kernel_runs.update(runs)
 
 
 class _Fifo:
@@ -245,6 +263,12 @@ class FlitSimulator:
         """
         if workload is None and _trace is None:
             raise SimulationError("need a workload or a trace")
+        _kernel_runs["reference: engine='reference'"] += 1
+        return self._simulate(workload, seed, recorder, _trace)
+
+    def _simulate(self, workload: Workload | None, seed: int | None,
+                  recorder, _trace) -> FlitRunResult:
+        """The reference event loop behind :meth:`run`."""
         cfg = self.config
         rec = recorder if recorder is not None else get_recorder()
         record = rec.enabled

@@ -32,6 +32,13 @@ class Workload(ABC):
     def pick_destination(self, src: int, n_procs: int, rng: random.Random) -> int:
         """Destination of the next message from ``src`` (never ``src``)."""
 
+    def _native_rule(self, n_procs: int):
+        """Internal: :meth:`pick_destination` as data for the native flit
+        kernel — ``(rule, int data, hot fraction)`` — or ``None`` when
+        only Python can draw it (the batched engine then runs the
+        reference engine)."""
+        return None
+
 
 class UniformRandom(Workload):
     """Uniform random traffic (the paper's flit-level workload): every
@@ -42,6 +49,9 @@ class UniformRandom(Workload):
     def pick_destination(self, src: int, n_procs: int, rng: random.Random) -> int:
         d = rng.randrange(n_procs - 1)
         return d + 1 if d >= src else d
+
+    def _native_rule(self, n_procs: int):
+        return ("uniform", (), 0.0) if n_procs > 1 else None
 
 
 class FixedPermutation(Workload):
@@ -63,6 +73,12 @@ class FixedPermutation(Workload):
             )
         dst = int(self.perm[src])
         return -1 if dst == src else dst  # -1: host stays silent
+
+    def _native_rule(self, n_procs: int):
+        if len(self.perm) != n_procs:
+            return None  # pick_destination raises the size mismatch
+        return ("table", np.where(self.perm == np.arange(n_procs), -1,
+                                  self.perm), 0.0)
 
 
 class HotspotWorkload(Workload):
@@ -87,3 +103,9 @@ class HotspotWorkload(Workload):
                 return rng.choice(choices)
         d = rng.randrange(n_procs - 1)
         return d + 1 if d >= src else d
+
+    def _native_rule(self, n_procs: int):
+        if n_procs < 2 or not (0 <= self.hot_nodes[0]
+                               and self.hot_nodes[-1] < n_procs):
+            return None
+        return ("hotspot", self.hot_nodes, self.hot_fraction)

@@ -235,9 +235,11 @@ def render_cross_run_report(runs: list[RunRecord], *,
             "-" if m.get("seed") is None else str(m.get("seed")),
             "-" if wall is None else f"{float(wall):.2f}",
             len(run.events),
+            str((m.get("extra") or {}).get("flit_kernel", "-")),
         ])
     sections.append(format_table(
-        ["log", "experiment", "fidelity", "seed", "wall s", "events"],
+        ["log", "experiment", "fidelity", "seed", "wall s", "events",
+         "flit kernel"],
         run_rows, title="runs"))
 
     phase_rows = _phase_rows(runs)

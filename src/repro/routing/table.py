@@ -14,9 +14,9 @@ traced through a discovered fabric
   ``links[path_off[p]:path_off[p + 1]]``, in traversal order;
 * ``links``: the channel ids.
 
-A path is therefore a single int, which the flit engine's injection
-plan carries per packet; the native kernel gathers its flat link array
-straight from ``path_off``/``links``.  The table also reads as a
+A path is therefore a single int: the native flit kernel reads
+``pair_off`` to pick a packet's path and then walks its channels
+straight out of ``path_off``/``links``.  The table also reads as a
 ``Mapping`` from pair key to the pair's list of link-id tuples, so code
 written against the earlier dict-of-tuples tables keeps working.
 """
@@ -140,14 +140,6 @@ class RouteTable(Mapping):
     @property
     def n_paths(self) -> int:
         return len(self.path_off) - 1
-
-    def gather(self, pids) -> tuple[np.ndarray, np.ndarray]:
-        """CSR of the given path ids: ``(off, links)`` with path ``i``'s
-        channels at ``links[off[i]:off[i + 1]]`` — one gather, no loop."""
-        pids = np.asarray(pids, dtype=np.int64)
-        starts = self.path_off[pids]
-        off = _offsets(self.path_off[pids + 1] - starts)
-        return off, self.links[_ranges(starts, off)]
 
     @property
     def digest(self) -> str:

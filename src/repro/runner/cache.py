@@ -12,7 +12,9 @@ it —
 * the full :class:`~repro.flit.config.FlitConfig` field set,
 * the workload family and offered load,
 * the per-point workload seed, and
-* the library code version (``repro.__version__``).
+* the library code version: ``repro.__version__`` plus a SHA-256
+  fingerprint of the sources of the result-determining packages
+  (:data:`FINGERPRINTED`, the native flit kernel included).
 
 Change any input and the key changes, so a stale entry can never be
 returned.  Generic records (:meth:`ResultCache.get_record` /
@@ -25,7 +27,8 @@ call site to remember.  The code version is additionally stored as a
 plain field on every entry: entries written by a different version are
 skipped at load time and reported through the
 ``runner.cache_invalidated`` telemetry counter, which is how an upgrade
-shows up as a cold cache rather than as silence.
+— or any edit to a fingerprinted source file — shows up as a cold cache
+rather than as silence.
 
 Storage is a single append-only JSON Lines file per cache directory
 (default ``.repro-cache/flit-runs.jsonl``) — crash-tolerant (a torn
@@ -42,6 +45,7 @@ Telemetry: ``runner.cache_hit`` / ``runner.cache_miss`` per probe,
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -62,11 +66,42 @@ RECORD_SCHEMA = 1
 _FILENAME = "flit-runs.jsonl"
 
 
+#: Packages whose sources decide results (``flit`` includes the native
+#: kernel, which makes every random draw of a flit run).
+FINGERPRINTED = ("topology", "routing", "faults", "flit", "flow", "traffic")
+
+#: Root of the ``repro`` package sources.
+_SOURCE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def source_fingerprint(root: str) -> str:
+    """SHA-256 over the ``.py`` and ``.c`` sources of the
+    :data:`FINGERPRINTED` packages under ``root``, by relative path."""
+    h = hashlib.sha256()
+    for package in FINGERPRINTED:
+        for dirpath, dirnames, filenames in os.walk(
+                os.path.join(root, package)):
+            dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
+            for name in sorted(filenames):
+                if not name.endswith((".py", ".c")):
+                    continue
+                path = os.path.join(dirpath, name)
+                rel = os.path.relpath(path, root).replace(os.sep, "/")
+                with open(path, "rb") as fh:
+                    digest = hashlib.sha256(fh.read()).digest()
+                h.update(rel.encode("utf-8") + b"\0" + digest)
+    return h.hexdigest()
+
+
+@functools.cache
 def _code_version() -> str:
+    """``repro.__version__`` plus the source fingerprint (computed once
+    per process), so any change to the code that produces results, not
+    only a version bump, turns the cache cold."""
     # Imported lazily: repro/__init__ transitively imports this module.
     from repro import __version__
 
-    return __version__
+    return f"{__version__}+src.{source_fingerprint(_SOURCE_ROOT)[:16]}"
 
 
 def cache_key(parts: dict) -> str:

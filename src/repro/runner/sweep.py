@@ -34,13 +34,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from repro.errors import RunnerError
-from repro.flit.engine import FlitSimulator
+from repro.flit.engine import FlitSimulator, kernel_runs, note_kernel_runs
 from repro.flit.stats import FlitRunResult
 from repro.flit.sweep import SweepResult, _merge_runs, default_loads
 from repro.flit.workload import UniformRandom, Workload
 from repro.obs.recorder import get_recorder
 from repro.obs.trace import span
-from repro.runner.cache import ResultCache, cache_key
+from repro.runner.cache import ResultCache, _code_version, cache_key
 from repro.runner.pool import PersistentPool, load_context
 
 
@@ -66,7 +66,7 @@ def point_key(label: str, sim: FlitSimulator, load: float, rep: int,
             else np.flatnonzero(~degraded.link_ok).tolist())
     return cache_key({
         "kind": "flit_run",
-        "code_version": _version(),
+        "code_version": _code_version(),
         "hosts": sim._n_procs,
         "channels": sim._n_channels,
         "routes": sim.routes.digest,
@@ -80,12 +80,6 @@ def point_key(label: str, sim: FlitSimulator, load: float, rep: int,
     })
 
 
-def _version() -> str:
-    from repro import __version__
-
-    return __version__
-
-
 def _flit_point_task(token: str, label: str, load: float, seed: int):
     """Pool worker: simulate one grid point against the shipped context.
 
@@ -93,15 +87,19 @@ def _flit_point_task(token: str, label: str, load: float, seed: int):
     (:meth:`~repro.runner.pool.PersistentPool.submit_task` builds a
     per-task recorder and ships its snapshot back), so the simulator's
     ``flit.*`` counters/histograms and this ``flit.point`` span land in
-    the parent recorder.
+    the parent recorder.  Returns the result and how the run executed
+    (:func:`~repro.flit.engine.kernel_runs` labels), which the parent
+    adds to its own tally.
     """
     ctx = load_context(token)
     sim: FlitSimulator = ctx["sims"][label]
     workload: Workload = ctx["workload_factory"](load)
     rec = get_recorder()
+    before = kernel_runs()
     with span("flit.point", scheme=label, load=load, seed=seed):
         with rec.timer("flit.point_eval"):
-            return sim.run(workload, seed=seed)
+            result = sim.run(workload, seed=seed)
+    return result, kernel_runs() - before
 
 
 def run_sweeps(
@@ -189,8 +187,9 @@ def run_sweeps(
                         for point in pending
                     ]
                     for point, future in futures:
-                        result, snapshot = future.result()
+                        (result, ran), snapshot = future.result()
                         results[point] = result
+                        note_kernel_runs(ran)
                         if snapshot is not None:
                             rec.merge(snapshot)
             finally:

@@ -31,11 +31,13 @@ from repro.flit import (
     flit_engine_class,
     make_flit_simulator,
 )
-from repro.flit import native
-from repro.flit.traces import synthesize_trace
+from repro.flit import batched, native
+from repro.flit.engine import kernel_runs
+from repro.flit.traces import TraceEntry, synthesize_trace
 from repro.obs.recorder import Recorder
 from repro.routing import make_scheme
 from repro.topology import XGFT, m_port_n_tree
+from tests.flit.helpers import FixedMapping
 
 
 @pytest.fixture(params=["native", "python"])
@@ -226,18 +228,89 @@ def test_engine_selector():
         make_flit_simulator("turbo", xgft, scheme, cfg)
 
 
-def test_dense_horizon_fallback(monkeypatch):
-    """Past the calendar-size limit the batched engine must transparently
-    fall back to the reference implementation (still exact)."""
-    from repro.flit import batched
+def assert_handed_off(bat, ref, workload, reason, caplog):
+    """Two runs of ``bat`` go to the reference engine: same bits, both
+    counted under ``reason``, and the reason logged once."""
+    before = kernel_runs()
+    with caplog.at_level(logging.WARNING, logger=batched.__name__):
+        for _ in range(2):
+            assert_bit_identical(ref.run(workload), bat.run(workload))
+    ran = kernel_runs() - before
+    assert ran[f"reference: {reason}"] == 2 and "native" not in ran
+    logged = [r.getMessage() for r in caplog.records
+              if r.name == batched.__name__]
+    assert len(logged) == 1 and reason in logged[0]
 
+
+def test_dense_horizon_fallback(monkeypatch, caplog):
+    """Past the calendar-size limit the batched engine must fall back to
+    the reference implementation (still exact), and say so once."""
     monkeypatch.setattr(batched, "_DENSE_HORIZON_LIMIT", 100)
+    monkeypatch.setattr(batched, "_logged", set())
+    if not native.available():
+        pytest.skip("no C compiler available for the native kernel")
     xgft = m_port_n_tree(4, 2)
     cfg = FlitConfig(warmup_cycles=100, measure_cycles=300,
                      drain_cycles=400, seed=19)
     ref, bat = both(xgft, "disjoint:2", cfg)
-    workload = UniformRandom(0.5)
-    assert_bit_identical(ref.run(workload), bat.run(workload))
+    assert_handed_off(
+        bat, ref, UniformRandom(0.5),
+        "horizon of 800 cycles is past the 100-cycle calendar limit", caplog)
+
+
+class PickyUniform(UniformRandom):
+    """Overrides the draw a built-in rule describes: no native form."""
+
+    def pick_destination(self, src, n_procs, rng):
+        return (super().pick_destination(src, n_procs, rng)
+                if rng.random() < 0.5 else -1)
+
+
+@pytest.mark.parametrize("workload", [
+    FixedMapping(0.6, {0: 5, 3: 5, 6: 1}),
+    PickyUniform(0.6),
+], ids=["custom-subclass", "overridden-built-in"])
+def test_workload_without_native_form_fallback(workload, monkeypatch,
+                                               caplog):
+    """A custom ``Workload`` draws in Python only: the batched engine
+    hands the run to the reference engine (same bits) and logs why."""
+    monkeypatch.setattr(batched, "_logged", set())
+    if not native.available():
+        pytest.skip("no C compiler available for the native kernel")
+    xgft = m_port_n_tree(4, 2)
+    cfg = FlitConfig(warmup_cycles=100, measure_cycles=300,
+                     drain_cycles=400, seed=23)
+    ref, bat = both(xgft, "disjoint:2", cfg)
+    assert_handed_off(
+        bat, ref, workload,
+        f"workload {type(workload).__name__} has no native form", caplog)
+
+
+def test_native_runs_are_counted(kernel):
+    xgft = m_port_n_tree(4, 2)
+    cfg = FlitConfig(warmup_cycles=50, measure_cycles=100,
+                     drain_cycles=150, seed=2)
+    ref, bat = both(xgft, "d-mod-k", cfg)
+    before = kernel_runs()
+    bat.run(UniformRandom(0.3))
+    bat.run_trace([])
+    ref.run(UniformRandom(0.3))
+    label = ("native" if kernel == "native"
+             else "reference: native kernel unavailable")
+    assert kernel_runs() - before == {
+        label: 2, "reference: engine='reference'": 1}
+
+
+def test_unrouted_pair_raises_like_the_reference(kernel):
+    """A message between hosts without a route is a KeyError naming the
+    pair key on both engines."""
+    cfg = FlitConfig(warmup_cycles=0, measure_cycles=100, drain_cycles=100)
+    routes = {1: [(0,)]}  # 0 -> 1 only; 1 -> 0 (key 2) is unrouted
+    trace = [TraceEntry(5, 0, 1), TraceEntry(9, 1, 0)]
+    for cls in (FlitSimulator, BatchedFlitSimulator):
+        sim = cls.from_tables(2, 2, routes, cfg)
+        with pytest.raises(KeyError, match="2"):
+            sim.run_trace(trace)
 
 
 @pytest.mark.parametrize("failure", ["missing", "failing"])

@@ -146,7 +146,8 @@ class TestQuantile:
         assert quantile([1.0, float("nan"), 3.0], 1.0) == 3.0
 
 
-def _write_log(path, experiment, *, seed=1, wall=2.0, with_span=False):
+def _write_log(path, experiment, *, seed=1, wall=2.0, with_span=False,
+               extra=None):
     rec = Recorder()
     rec.count("flow.samples", 64)
     with rec.timer("flow.sampling"):
@@ -155,7 +156,7 @@ def _write_log(path, experiment, *, seed=1, wall=2.0, with_span=False):
         with use_recorder(rec), span("study", scheme="d-mod-k"):
             pass
     manifest = RunManifest(experiment, fidelity="fast", seed=seed,
-                           wall_time_s=wall)
+                           wall_time_s=wall, extra=extra or {})
     with JsonlSink(path) as sink:
         write_run(sink, manifest, rec)
 
@@ -194,6 +195,20 @@ class TestCrossRunReport:
         assert "flow.samples" in out  # counter totals
         assert "span waterfall (b.jsonl)" in out
         assert "study" in out
+
+    def test_report_shows_flit_kernel(self, tmp_path):
+        _write_log(tmp_path / "a.jsonl", "table1",
+                   extra={"flit_kernel": "native"})
+        _write_log(tmp_path / "b.jsonl", "figure5", extra={
+            "flit_kernel": "reference: native kernel unavailable"})
+        _write_log(tmp_path / "c.jsonl", "figure4a")
+        out = render_cross_run_report(aggregate_runs([tmp_path]))
+        assert "flit kernel" in out
+        rows = {line.split()[0]: line for line in out.splitlines()
+                if line.startswith(("a.jsonl", "b.jsonl", "c.jsonl"))}
+        assert rows["a.jsonl"].rstrip().endswith("native")
+        assert "reference: native kernel unavailable" in rows["b.jsonl"]
+        assert rows["c.jsonl"].rstrip().endswith("-")
 
     def test_report_with_no_runs(self):
         assert "(no run logs found)" in render_cross_run_report([])

@@ -166,14 +166,6 @@ class TestRouteTable:
             with pytest.raises(KeyError):
                 table[key]
 
-    def test_gather(self):
-        table = RouteTable.from_mapping(2, {1: [(0, 2), (1,)], 2: [(3,)]})
-        off, links = table.gather([2, 0, 0, 1])
-        assert off.tolist() == [0, 1, 3, 5, 6]
-        assert links.tolist() == [3, 0, 2, 0, 2, 1]
-        off, links = table.gather([])
-        assert off.tolist() == [0] and links.size == 0
-
     def test_pickle_preserves_content_and_digest(self):
         table = compile_routes(TREES["2-level"],
                                make_scheme(TREES["2-level"], "disjoint:2"))

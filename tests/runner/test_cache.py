@@ -130,3 +130,66 @@ class TestInvalidation:
         assert cache.get("k") is None  # no directory created by probing
         cache.put("k", _mk_result())
         assert (tmp_path / "fresh").is_dir()
+
+
+class TestSourceFingerprint:
+    """The code version is ``__version__`` plus a hash of the sources
+    that decide results, so editing them turns the cache cold."""
+
+    @staticmethod
+    def _sources(root):
+        for package in cache_mod.FINGERPRINTED:
+            (root / package).mkdir(parents=True)
+            (root / package / "__init__.py").write_text(f"# {package}\n")
+        (root / "flit" / "kernel.c").write_text("int draw;\n")
+        (root / "cli.py").write_text("# not fingerprinted\n")
+        return root
+
+    @pytest.fixture
+    def sources(self, tmp_path, monkeypatch):
+        root = self._sources(tmp_path / "src")
+        monkeypatch.setattr(cache_mod, "_SOURCE_ROOT", str(root))
+        cache_mod._code_version.cache_clear()
+        yield root
+        cache_mod._code_version.cache_clear()
+
+    def test_only_fingerprinted_sources_count(self, sources):
+        before = cache_mod.source_fingerprint(sources)
+        (sources / "cli.py").write_text("# edited\n")
+        (sources / "flit" / "__pycache__").mkdir()
+        (sources / "flit" / "__pycache__" / "stale.py").write_text("x = 1\n")
+        (sources / "flow" / "notes.txt").write_text("not a source\n")
+        assert cache_mod.source_fingerprint(sources) == before
+        (sources / "flit" / "kernel.c").write_text("int draws;\n")
+        assert cache_mod.source_fingerprint(sources) != before
+
+    def test_source_edit_changes_keys_and_old_entries_miss(
+            self, sources, tmp_path):
+        import repro
+        from repro.flit.config import FlitConfig
+        from repro.flit.engine import FlitSimulator
+        from repro.routing.factory import make_scheme
+        from repro.runner.sweep import point_key
+        from repro.topology.variants import m_port_n_tree
+
+        xgft = m_port_n_tree(4, 2)
+        sim = FlitSimulator(xgft, make_scheme(xgft, "d-mod-k"), FlitConfig())
+        v1 = cache_mod._code_version()
+        assert v1.startswith(f"{repro.__version__}+src.")
+        k1 = point_key("d-mod-k", sim, 0.3, 0)
+        old = ResultCache(tmp_path / "cache")
+        old.put(k1, _mk_result())
+        old.put_record("step-1", {"mload": 1.5})
+
+        (sources / "routing" / "__init__.py").write_text("# edited\n")
+        assert cache_mod._code_version() == v1  # computed once per process
+        cache_mod._code_version.cache_clear()
+        v2 = cache_mod._code_version()
+        assert v2 != v1 and v2.startswith(f"{repro.__version__}+src.")
+        k2 = point_key("d-mod-k", sim, 0.3, 0)
+        assert k2 != k1
+        new = ResultCache(tmp_path / "cache")
+        assert new.version == v2
+        assert new.get(k1) is None and new.get(k2) is None
+        assert new.get_record("step-1") is None
+        assert new.stale_entries == 2

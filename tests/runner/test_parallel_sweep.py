@@ -7,6 +7,7 @@ import pytest
 from repro.errors import ReproError, RunnerError
 from repro.experiments import figure5, table1
 from repro.experiments.registry import run_instrumented
+from repro.flit import native
 from repro.flit.config import FlitConfig
 from repro.flit.engine import FlitSimulator
 from repro.flit.sweep import load_sweep
@@ -182,6 +183,23 @@ class TestRegistryForwarding:
     def test_noop_values_accepted_everywhere(self):
         run = run_instrumented("resources", jobs=1, cache=False)
         assert run.result is not None
+
+    def test_manifest_records_flit_kernel(self, tree):
+        """Flit experiments record how their runs executed, also when the
+        runs happen in pool workers; other experiments record nothing."""
+        kwargs = dict(fidelity_name="fast", topology=tree, loads=(0.3,),
+                      config=CFG, curves=("d-mod-k",))
+        run = run_instrumented("figure5", **kwargs)
+        assert (run.manifest.extra["flit_kernel"]
+                == "reference: engine='reference'")
+        expected = ("native" if native.available()
+                    else "reference: native kernel unavailable")
+        for jobs in (1, 2):
+            run = run_instrumented("figure5", engine="batched", jobs=jobs,
+                                   **kwargs)
+            assert run.manifest.extra["flit_kernel"] == expected
+        assert "flit_kernel" not in run_instrumented(
+            "resources").manifest.extra
 
     def test_cache_dir_implies_cache(self, tree, tmp_path):
         run = run_instrumented(
