@@ -1,15 +1,15 @@
-"""Microbenchmark of the flit-level event engines.
+"""Microbenchmark of the flit simulator and its reference event loop.
 
 Times a fixed-window run on the paper's 8-port 3-tree at moderate load
 and reports the event-processing rate — the figure that bounds how long
-Table 1 / Figure 5 regeneration takes — for both the reference heap
-engine and the batched calendar-queue engine (which must produce
-bit-identical results while clearing the >= 5x speedup gate).
+Table 1 / Figure 5 regeneration takes — for both the reference event
+loop (:class:`ReferenceFlitSimulator`) and the native kernel behind
+:class:`FlitSimulator` (which must produce bit-identical results while
+clearing the >= 5x speedup gate).
 """
 
-from repro.flit.batched import BatchedFlitSimulator
 from repro.flit.config import FlitConfig
-from repro.flit.engine import FlitSimulator
+from repro.flit.engine import FlitSimulator, ReferenceFlitSimulator
 from repro.flit.workload import UniformRandom
 from repro.routing.factory import make_scheme
 from repro.topology.variants import m_port_n_tree
@@ -23,7 +23,7 @@ def _setup():
 
 def test_engine_event_rate(benchmark):
     xgft, scheme, cfg = _setup()
-    sim = FlitSimulator(xgft, scheme, cfg)
+    sim = ReferenceFlitSimulator(xgft, scheme, cfg)
 
     result = benchmark(sim.run, UniformRandom(0.6), seed=1)
     assert result.events > 10_000
@@ -35,8 +35,8 @@ def test_engine_event_rate(benchmark):
 
 def test_batched_engine_event_rate(benchmark):
     xgft, scheme, cfg = _setup()
-    reference = FlitSimulator(xgft, scheme, cfg)
-    sim = BatchedFlitSimulator(xgft, scheme, cfg)
+    reference = ReferenceFlitSimulator(xgft, scheme, cfg)
+    sim = FlitSimulator(xgft, scheme, cfg)
     workload = UniformRandom(0.6)
     # Parity first (also absorbs the one-time native-kernel compile).
     assert sim.run(workload, seed=1) == reference.run(workload, seed=1)

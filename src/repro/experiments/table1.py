@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.experiments.common import Fidelity, fidelity
 from repro.flit.config import FlitConfig
+from repro.flit.engine import FlitSimulator
 from repro.flit.sweep import load_sweep
 from repro.routing.factory import make_scheme
 from repro.topology.variants import m_port_n_tree
@@ -60,7 +61,6 @@ def run(
     seed: int | None = None,
     n_jobs: int = 1,
     cache=None,
-    engine: str = "reference",
 ) -> Table1Result:
     """Regenerate Table 1.
 
@@ -72,8 +72,6 @@ def run(
     one process pool and ``cache`` (a
     :class:`~repro.runner.cache.ResultCache`) replays completed points
     from disk; the table is bit-identical to the serial run either way.
-    ``engine`` selects the flit backend (``reference`` or the
-    bit-identical, faster ``batched``).
     """
     fid = fidelity(fidelity_name)
     xgft = topology if topology is not None else m_port_n_tree(8, 3)
@@ -88,12 +86,11 @@ def run(
         # Build the entire cell grid up front and sweep it through one
         # pool.  Keys disambiguate random(K)'s routing seeds ("@s" —
         # the scheme label repeats across seeds, the key must not).
-        from repro.flit.batched import make_flit_simulator
         from repro.runner.sweep import run_sweeps
 
         def sim_for(spec: str, seed: int = 0):
-            return make_flit_simulator(
-                engine, xgft, make_scheme(xgft, spec, seed=seed), cfg)
+            return FlitSimulator(
+                xgft, make_scheme(xgft, spec, seed=seed), cfg)
 
         sims = {"d-mod-k": sim_for("d-mod-k")}
         for k in ks:
@@ -113,7 +110,7 @@ def run(
         def max_thr(spec: str, seed: int = 0) -> float:
             scheme = make_scheme(xgft, spec, seed=seed)
             sweep = load_sweep(xgft, scheme, cfg, loads=loads,
-                               repeats=fid.flit_repeats, engine=engine)
+                               repeats=fid.flit_repeats)
             return sweep.max_throughput
 
     dmodk = max_thr("d-mod-k")

@@ -6,14 +6,8 @@ sweeps reproduce the paper's delay-vs-load curves and maximum-throughput
 tables.
 """
 
-from repro.flit.batched import (
-    BatchedFlitSimulator,
-    ENGINES,
-    flit_engine_class,
-    make_flit_simulator,
-)
 from repro.flit.config import FlitConfig, PATH_SELECTION_MODES
-from repro.flit.engine import FlitSimulator
+from repro.flit.engine import FlitSimulator, ReferenceFlitSimulator
 from repro.flit.message import Message, Packet
 from repro.flit.stats import FlitRunResult, delay_stats
 from repro.flit.sweep import SweepResult, default_loads, load_sweep
@@ -34,10 +28,7 @@ __all__ = [
     "FlitConfig",
     "PATH_SELECTION_MODES",
     "FlitSimulator",
-    "BatchedFlitSimulator",
-    "ENGINES",
-    "flit_engine_class",
-    "make_flit_simulator",
+    "ReferenceFlitSimulator",
     "Message",
     "Packet",
     "FlitRunResult",

@@ -31,10 +31,34 @@ independent of packet size — the property that keeps a Python flit-level
 study tractable (DESIGN.md Section 7).  Blocking propagates through
 credits, producing tree saturation beyond the knee exactly as in the
 paper's discussion.
+
+Execution
+---------
+:class:`FlitSimulator` runs each simulation in one call of the native
+kernel (``kernel.c``, via :mod:`repro.flit.native`).  Phase A walks the
+injection process alone (inject events do not depend on the network),
+in this event loop's draw order, on a C copy of CPython's MT19937
+seeded from ``random.Random(seed).getstate()``; phase B processes the
+events on a per-cycle calendar that keeps the heap's ``(time, seq)``
+order and fills per-interval telemetry rows, which
+:meth:`FlitSimulator.run` re-emits as ``flit_interval`` events.
+
+The event loop below is the kernel's only alternative and its
+differential oracle (:class:`ReferenceFlitSimulator` always runs it).
+:meth:`FlitSimulator.run` hands a run to it when the kernel is
+unavailable (:func:`repro.flit.native.unavailable_reason` says why),
+when the horizon is past :data:`_DENSE_HORIZON_LIMIT`, or when a custom
+:class:`~repro.flit.workload.Workload` has no native form; the last two
+are logged once per process.  Every run is counted by path
+(:func:`kernel_runs`), and flit experiments record the labels in their
+run manifest as ``flit_kernel``.  Results, ``flit.*`` counters, the
+delay histogram and ``flit_interval`` events are bit-identical on both
+paths (``tests/flit/test_batched_parity.py``).
 """
 
 from __future__ import annotations
 
+import logging
 import random
 from collections import Counter
 from collections.abc import Mapping
@@ -43,6 +67,7 @@ from heapq import heappop, heappush
 import numpy as np
 
 from repro.errors import SimulationError
+from repro.flit import native
 from repro.flit.config import FlitConfig
 from repro.flit.message import Message, Packet
 from repro.flit.stats import FlitRunResult, delay_stats
@@ -61,6 +86,13 @@ _CREDIT = 3       # payload: channel id — downstream slot freed
 _DELIVER = 4      # payload: Packet — tail reached the destination host
 _HEAD_READY = 5   # payload: buffer id — buffer read port free for next head
 
+#: Densest calendar the kernel will allocate (one bucket per cycle up
+#: front); configs past this run the event loop's sparse heap, where a
+#: per-cycle structure would dwarf the event set.
+_DENSE_HORIZON_LIMIT = 262_144
+
+#: Hand-off reasons already logged by this process.
+_logged: set[str] = set()
 
 #: Flit runs made by this process, per kernel label (:func:`kernel_runs`).
 _kernel_runs: Counter[str] = Counter()
@@ -68,8 +100,8 @@ _kernel_runs: Counter[str] = Counter()
 
 def kernel_runs() -> Counter[str]:
     """How this process's flit runs have been executed so far: a copy of
-    the run count per label, ``"native"`` (the batched engine's C
-    kernel) or ``"reference: <reason>"`` (this module's event loop).
+    the run count per label, ``"native"`` (the C kernel) or
+    ``"reference: <reason>"`` (this module's event loop).
     Flit experiments record the labels of their runs in the manifest."""
     return Counter(_kernel_runs)
 
@@ -124,7 +156,7 @@ class FlitSimulator:
     """Flit-level simulator bound to one topology and routing scheme.
 
     Route sets for all SD pairs are compiled once (vectorized) and reused
-    across runs, so load sweeps only pay the event loop.
+    across runs, so load sweeps only pay the simulation.
 
     >>> from repro.topology import m_port_n_tree
     >>> from repro.routing import make_scheme
@@ -258,13 +290,89 @@ class FlitSimulator:
         get_recorder`) receives, when enabled, a ``flit_interval`` event
         per observation interval (injected/delivered flits, credit
         stalls, total buffer occupancy), an end-to-end message-delay
-        histogram, and run totals.  With the no-op recorder the event
-        loop pays a single integer comparison per event.
+        histogram, and run totals.
+
+        The run executes in the native kernel, or in the reference event
+        loop for the reasons in the module docstring: same results, same
+        telemetry, bit for bit; only the clock time differs.
         """
         if workload is None and _trace is None:
             raise SimulationError("need a workload or a trace")
-        _kernel_runs["reference: engine='reference'"] += 1
-        return self._simulate(workload, seed, recorder, _trace)
+        cfg = self.config
+        rule = None
+        if not native.available():
+            reason = "native kernel unavailable"  # logged by native
+        elif cfg.horizon > _DENSE_HORIZON_LIMIT:
+            # Past the limit a per-cycle calendar would be bigger than
+            # the event set, and the sparse reference heap is the right
+            # structure.
+            reason = (f"horizon of {cfg.horizon} cycles is past the "
+                      f"{_DENSE_HORIZON_LIMIT}-cycle calendar limit")
+        else:
+            rule = (native.trace_rule(_trace) if _trace is not None
+                    else native.workload_rule(workload, self._n_procs,
+                                              cfg.message_flits))
+            reason = (f"workload {type(workload).__name__} has no native "
+                      f"form")
+        if rule is None:
+            _hand_off(reason)
+            return self._simulate(workload, seed, recorder, _trace)
+        _kernel_runs["native"] += 1
+        rec = recorder if recorder is not None else get_recorder()
+        state = random.Random(cfg.seed if seed is None else seed).getstate()
+        stats, intervals = native.run_oq(
+            rule, state[1], self.routes, cfg, self._n_procs,
+            self._n_channels, self._initial_credits(), rec.enabled)
+        for t, injected, delivered, stalls, occupancy in intervals:
+            rec.event("flit_interval", t=t, injected=injected,
+                      delivered=delivered, credit_stalls=stalls,
+                      occupancy=occupancy)
+        return self._finish(rec, workload, *stats)
+
+    def _initial_credits(self) -> list[int]:
+        """Downstream credits per sub-channel: ``buffer_packets`` each,
+        none on a failed channel."""
+        n_vcs = self.config.virtual_channels
+        credits = [self.config.buffer_packets] * (self._n_channels * n_vcs)
+        if self.degraded is not None and not self.degraded.is_pristine:
+            for c, ok in enumerate(self.degraded.link_ok):
+                if not ok:
+                    base = c * n_vcs
+                    for v in range(n_vcs):
+                        credits[base + v] = 0
+        return credits
+
+    def _finish(self, rec, workload, delays, messages_measured,
+                messages_completed, flits_created, flits_delivered,
+                credit_stalls, events, sim_cycles) -> FlitRunResult:
+        """Record the kernel's run totals and build its result, as the
+        event loop does at its end."""
+        cfg = self.config
+        if rec.enabled:
+            rec.count("flit.runs", 1)
+            rec.count("flit.events", events)
+            rec.count("flit.flits_injected", flits_created)
+            rec.count("flit.flits_delivered", flits_delivered)
+            rec.count("flit.credit_stalls", credit_stalls)
+            rec.count("flit.messages_measured", messages_measured)
+            rec.count("flit.messages_completed", messages_completed)
+            for d in delays:
+                rec.observe("flit.message_delay", d)
+        mean_delay, p95_delay, max_delay = delay_stats(delays)
+        denom = cfg.measure_cycles * self._n_procs
+        injected = flits_created / denom if denom else 0.0
+        return FlitRunResult(
+            offered_load=workload.load if workload is not None else injected,
+            injected_load=injected,
+            throughput=flits_delivered / denom if denom else 0.0,
+            mean_delay=mean_delay,
+            p95_delay=p95_delay,
+            max_delay=max_delay,
+            messages_measured=messages_measured,
+            messages_completed=messages_completed,
+            sim_cycles=min(sim_cycles, cfg.horizon),
+            events=events,
+        )
 
     def _simulate(self, workload: Workload | None, seed: int | None,
                   recorder, _trace) -> FlitRunResult:
@@ -550,3 +658,46 @@ class FlitSimulator:
             sim_cycles=min(now, horizon),
             events=events,
         )
+
+
+class ReferenceFlitSimulator(FlitSimulator):
+    """The reference event loop as a simulator: the differential oracle
+    of :class:`FlitSimulator`.
+
+    Construction is inherited unchanged; :meth:`run` always runs the
+    event loop, whatever the kernel's state.  Use it to check the
+    product simulator, not to produce results: it is several times
+    slower and returns the same bits.
+
+    >>> from repro.topology import m_port_n_tree
+    >>> from repro.routing import make_scheme
+    >>> from repro.flit import FlitConfig, ReferenceFlitSimulator
+    >>> from repro.flit import UniformRandom
+    >>> xgft = m_port_n_tree(4, 2)
+    >>> cfg = FlitConfig(warmup_cycles=200, measure_cycles=500)
+    >>> ref = ReferenceFlitSimulator(xgft, make_scheme(xgft, "d-mod-k"), cfg)
+    >>> fast = FlitSimulator(xgft, make_scheme(xgft, "d-mod-k"), cfg)
+    >>> fast.run(UniformRandom(0.2)) == ref.run(UniformRandom(0.2))
+    True
+    """
+
+    def run(self, workload: Workload | None, *, seed: int | None = None,
+            recorder=None, _trace=None) -> FlitRunResult:
+        """Simulate ``workload`` in the event loop; see
+        :meth:`FlitSimulator.run`.  With the no-op recorder the loop
+        pays a single integer comparison per event."""
+        if workload is None and _trace is None:
+            raise SimulationError("need a workload or a trace")
+        _kernel_runs["reference: ReferenceFlitSimulator"] += 1
+        return self._simulate(workload, seed, recorder, _trace)
+
+
+def _hand_off(reason: str) -> None:
+    """Count a run handed to the event loop; log each new reason once
+    per process (an unavailable kernel is logged by
+    :func:`repro.flit.native.available`)."""
+    _kernel_runs[f"reference: {reason}"] += 1
+    if reason not in _logged and native.available():
+        _logged.add(reason)
+        logging.getLogger(__name__).warning(
+            "flit simulator runs the reference event loop: %s", reason)

@@ -1,11 +1,11 @@
-/* Native kernel of the batched flit engine: the injection plan (phase A)
+/* Native kernel of the flit simulator: the injection plan (phase A)
  * and event processing (phase B) in one call, run_kernel().
  *
  * Compiled on demand by repro.flit.native and loaded through ctypes;
- * without a working C compiler the batched engine runs the reference
- * engine (repro.flit.engine) instead.  The differential parity suite
+ * without a working C compiler FlitSimulator runs the reference event
+ * loop (repro.flit.engine) instead.  The differential parity suite
  * (tests/flit/test_batched_parity.py) pins results, counters and
- * flit_interval rows to the reference engine bit for bit.
+ * flit_interval rows to the reference event loop bit for bit.
  *
  * Random numbers.  The reference draws from a random.Random(seed).  The
  * generator here is CPython's MT19937 (Modules/_randommodule.c), seeded
@@ -20,7 +20,7 @@
  *    library is built with -lm and without fast-math).
  * repro.flit.native replays a few draws through rng_sample() against the
  * running interpreter before it uses the kernel, so a Python whose
- * random module differs gets the reference engine, never wrong bits.
+ * random module differs gets the reference event loop, never wrong bits.
  *
  * Phase A (the injection plan).  Every draw of the reference happens
  * while it processes an _INJECT event, and the order of inject events

@@ -1,13 +1,14 @@
-"""On-demand compiled kernel of the batched flit engine.
+"""On-demand compiled kernel of the flit simulator.
 
-:mod:`repro.flit.batched` runs a flit simulation as an injection plan
-(phase A, where every random draw happens) followed by pure integer
-event processing (phase B).  Both live in ``kernel.c`` (shipped
-alongside): this module compiles it into a shared library once per
-machine, caches it under ``~/.cache/repro-flit`` keyed by source hash,
-and loads it with ctypes.  One :func:`run_oq` call builds the plan and
-simulates it; the one kernel covers the built-in workloads and traces,
-every path-selection mode, both switch models, any VC count, and the
+:class:`repro.flit.engine.FlitSimulator` runs a flit simulation as an
+injection plan (phase A, where every random draw happens) followed by
+pure integer event processing (phase B).  Both live in ``kernel.c``
+(shipped alongside): this module compiles it into a shared library once
+per machine, caches it under ``~/.cache/repro-flit`` keyed by source
+hash, and loads it with ctypes.  One :func:`run_oq` call builds the plan
+and simulates it; the one kernel covers the built-in workloads
+(:func:`workload_rule`) and traces (:func:`trace_rule`), every
+path-selection mode, both switch models, any VC count, and the
 per-interval telemetry, so enabling a recorder never changes which code
 runs.
 
@@ -20,8 +21,8 @@ regeneration) through the kernel's ``rng_sample`` entry
 (:func:`kernel_draws`) and compares them with ``random.Random``; on any
 difference the kernel is not used.
 
-Without a working C compiler, or when that check fails, the batched
-engine runs the reference engine instead (same bits, ~20x slower).
+Without a working C compiler, or when that check fails, the simulator
+runs the reference event loop instead (same bits, ~20x slower).
 That fallback is not silent: :func:`unavailable_reason` says why the
 kernel could not be used, and the first failure logs it as a warning.
 No third-party packages are involved — just ``ctypes`` and a cc.
@@ -40,6 +41,8 @@ import subprocess
 import tempfile
 
 import numpy as np
+
+from repro.errors import SimulationError
 
 _SOURCE = os.path.join(os.path.dirname(__file__), "kernel.c")
 
@@ -186,8 +189,8 @@ def available() -> bool:
             _lib = None
             _reason = str(exc) or type(exc).__name__
             logging.getLogger(__name__).warning(
-                "native flit kernel unavailable, the batched engine runs "
-                "the reference engine: %s", _reason)
+                "native flit kernel unavailable, flit runs use the "
+                "reference event loop: %s", _reason)
     return _lib is not None
 
 
@@ -209,6 +212,38 @@ def _ptr(a: np.ndarray):
     return a.ctypes.data_as(ctypes.POINTER(ctype))
 
 
+def workload_rule(workload, n_procs: int, message_flits: int):
+    """The kernel's plan input for a stochastic workload, or ``None``
+    when it has no native form.  A subclass that overrides
+    ``pick_destination`` below the class describing the rule draws
+    differently, so it has none either."""
+    cls = type(workload)
+    owner = next(c for c in cls.__mro__ if "_native_rule" in vars(c))
+    if cls.pick_destination is not owner.pick_destination:
+        return None
+    form = workload._native_rule(n_procs)
+    if form is None:
+        return None
+    name, data, hot_fraction = form
+    rate = 1.0 / workload.mean_interarrival(message_flits)
+    return name, data, rate, float(hot_fraction)
+
+
+def trace_rule(trace):
+    """The kernel's plan input for a trace: cycle, src and dst rows, plus
+    the stable cycle order (the reference heap's ``(cycle, push seq)``
+    tie-break)."""
+    n = len(trace)
+    data = np.empty((4, n), dtype=np.int64)
+    data[0] = np.fromiter((e.cycle for e in trace), dtype=np.int64, count=n)
+    data[1] = np.fromiter((e.src for e in trace), dtype=np.int64, count=n)
+    data[2] = np.fromiter((e.dst for e in trace), dtype=np.int64, count=n)
+    if n and data[0].min() < 0:
+        raise SimulationError("trace entries need cycles >= 0")
+    data[3] = np.argsort(data[0], kind="stable")
+    return "trace", data, 0.0, 0.0
+
+
 def run_oq(rule, rng_state, routes, cfg, n_procs: int, n_channels: int,
            initial_credits: list, record: bool) -> tuple:
     """Build the injection plan and simulate it natively.
@@ -221,7 +256,7 @@ def run_oq(rule, rng_state, routes, cfg, n_procs: int, n_channels: int,
     ``routes`` (a :class:`~repro.routing.table.RouteTable`).
 
     Returns ``(stats, intervals)``: ``stats`` is the tuple
-    :meth:`~repro.flit.batched.BatchedFlitSimulator._finish` takes, and
+    :meth:`~repro.flit.engine.FlitSimulator._finish` takes, and
     ``intervals`` (empty unless ``record``) holds one ``[t, injected,
     delivered, credit_stalls, occupancy]`` row per flushed observation
     interval, in the reference's order.  A message between a pair with

@@ -12,8 +12,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.flit.batched import make_flit_simulator
 from repro.flit.config import FlitConfig
+from repro.flit.engine import FlitSimulator
 from repro.flit.stats import FlitRunResult
 from repro.flit.workload import UniformRandom, Workload
 from repro.obs.recorder import get_recorder
@@ -72,7 +72,6 @@ def load_sweep(
     n_jobs: int = 1,
     pool=None,
     cache=None,
-    engine: str = "reference",
 ) -> SweepResult:
     """Run ``scheme`` at each offered load with fresh Poisson workloads.
 
@@ -87,13 +86,9 @@ def load_sweep(
     :class:`~repro.runner.cache.ResultCache`.  Per-point seeds are
     identical to the serial path (``config.seed + 1000 * repeat``), so
     every execution mode returns bit-identical results.
-
-    ``engine`` selects the flit backend (:data:`repro.flit.batched.
-    ENGINES`); the batched engine is bit-identical to the reference, so
-    it changes only wall-clock time — in every execution mode.
     """
     rec = get_recorder()
-    sim = make_flit_simulator(engine, xgft, scheme, config)
+    sim = FlitSimulator(xgft, scheme, config)
     if n_jobs > 1 or pool is not None or cache is not None:
         # Lazy import: repro.runner.sweep imports this module.
         from repro.runner.sweep import run_sweeps

@@ -35,8 +35,8 @@ class Workload(ABC):
     def _native_rule(self, n_procs: int):
         """Internal: :meth:`pick_destination` as data for the native flit
         kernel — ``(rule, int data, hot fraction)`` — or ``None`` when
-        only Python can draw it (the batched engine then runs the
-        reference engine)."""
+        only Python can draw it (the simulator then runs the reference
+        event loop)."""
         return None
 
 

@@ -31,10 +31,13 @@ class TestEngineForwarding:
         for name in ("figure4a", "figure4b", "figure4c", "figure4d", "ratios"):
             assert get_experiment(name).engine_aware, name
 
-    def test_flit_experiments_are_engine_aware(self):
-        # table1/figure5 accept --engine {reference,batched}
+    def test_flit_experiments_are_not_engine_aware(self):
+        # table1/figure5 always run FlitSimulator: --engine is the flow
+        # evaluator's knob, so a non-reference one is an error there.
         for name in ("table1", "figure5"):
-            assert get_experiment(name).engine_aware, name
+            assert not get_experiment(name).engine_aware, name
+            with pytest.raises(ReproError, match="does not support"):
+                run_instrumented(name, engine="compiled")
 
     def test_exact_experiments_are_not_engine_aware(self):
         for name in ("theorems", "resources", "exact-ratios"):

@@ -1,14 +1,15 @@
-"""Differential suite: the batched engine vs the reference oracle.
+"""Differential suite: the flit simulator vs the reference oracle.
 
-The batched engine's contract is *bit-identical* results — every
+:class:`FlitSimulator`'s contract is *bit-identical* results to
+:class:`ReferenceFlitSimulator` (the event loop) — every
 ``FlitRunResult`` field equal (NaN-tolerant for the no-traffic
 statistics) across scheme families, tree shapes, switch models, VC
 counts, path-selection modes, traces, degraded fabrics and telemetry.
 Each case runs twice via the ``kernel`` fixture: once on the compiled
 C kernel (skipped when no compiler is present) and once with the
-kernel reported unavailable, where the batched engine must hand the
-run to the pure-Python reference engine.  ``test_fallback_without_kernel``
-covers the real failure modes (no compiler, a failing build).
+kernel reported unavailable, where the simulator must hand the run to
+the reference event loop.  ``test_fallback_without_kernel`` covers the
+real failure modes (no compiler, a failing build).
 """
 
 from __future__ import annotations
@@ -21,17 +22,15 @@ import pytest
 from repro.errors import SimulationError
 from repro.faults import DegradedScheme, FaultSpec
 from repro.flit import (
-    BatchedFlitSimulator,
-    ENGINES,
     FixedPermutation,
     FlitConfig,
     FlitSimulator,
     HotspotWorkload,
+    ReferenceFlitSimulator,
     UniformRandom,
-    flit_engine_class,
-    make_flit_simulator,
 )
-from repro.flit import batched, native
+from repro.flit import engine, native
+from repro.flit.batched import make_flit_simulator
 from repro.flit.engine import kernel_runs
 from repro.flit.traces import TraceEntry, synthesize_trace
 from repro.obs.recorder import Recorder
@@ -42,9 +41,9 @@ from tests.flit.helpers import FixedMapping
 
 @pytest.fixture(params=["native", "python"])
 def kernel(request, monkeypatch):
-    """Run the test body once per batched-engine backend."""
+    """Run the test body once per execution path of FlitSimulator."""
     if request.param == "python":
-        # No kernel: the batched engine runs the reference engine.
+        # No kernel: the simulator runs the reference event loop.
         monkeypatch.setattr(native, "available", lambda: False)
     elif not native.available():
         pytest.skip("no C compiler available for the native kernel")
@@ -63,8 +62,8 @@ def assert_bit_identical(a, b):
 
 def both(xgft, spec, config, **kwargs):
     scheme = make_scheme(xgft, spec)
-    return (FlitSimulator(xgft, scheme, config, **kwargs),
-            BatchedFlitSimulator(xgft, scheme, config, **kwargs))
+    return (ReferenceFlitSimulator(xgft, scheme, config, **kwargs),
+            FlitSimulator(xgft, scheme, config, **kwargs))
 
 
 TREES = {
@@ -131,8 +130,8 @@ def test_degraded_parity(kernel):
     cfg = FlitConfig(warmup_cycles=150, measure_cycles=400,
                      drain_cycles=600, seed=11)
     scheme = DegradedScheme(make_scheme(xgft, "umulti"), fabric)
-    ref = FlitSimulator(xgft, scheme, cfg, degraded=fabric)
-    bat = BatchedFlitSimulator(xgft, scheme, cfg, degraded=fabric)
+    ref = ReferenceFlitSimulator(xgft, scheme, cfg, degraded=fabric)
+    bat = FlitSimulator(xgft, scheme, cfg, degraded=fabric)
     workload = UniformRandom(0.4)
     assert_bit_identical(ref.run(workload), bat.run(workload))
 
@@ -215,38 +214,33 @@ def test_engine_selector():
     xgft = m_port_n_tree(4, 2)
     cfg = FlitConfig(warmup_cycles=50, measure_cycles=100, drain_cycles=150)
     scheme = make_scheme(xgft, "d-mod-k")
-    assert ENGINES == ("reference", "batched")
-    assert flit_engine_class("reference") is FlitSimulator
-    assert flit_engine_class("batched") is BatchedFlitSimulator
     sim = make_flit_simulator("batched", xgft, scheme, cfg)
-    assert type(sim) is BatchedFlitSimulator
-    sim = make_flit_simulator("reference", xgft, scheme, cfg)
     assert type(sim) is FlitSimulator
-    with pytest.raises(SimulationError, match="unknown flit engine"):
-        flit_engine_class("turbo")
-    with pytest.raises(SimulationError, match="turbo"):
+    sim = make_flit_simulator("reference", xgft, scheme, cfg)
+    assert type(sim) is ReferenceFlitSimulator
+    with pytest.raises(SimulationError, match="unknown flit engine 'turbo'"):
         make_flit_simulator("turbo", xgft, scheme, cfg)
 
 
 def assert_handed_off(bat, ref, workload, reason, caplog):
-    """Two runs of ``bat`` go to the reference engine: same bits, both
-    counted under ``reason``, and the reason logged once."""
+    """Two runs of ``bat`` go to the reference event loop: same bits,
+    both counted under ``reason``, and the reason logged once."""
     before = kernel_runs()
-    with caplog.at_level(logging.WARNING, logger=batched.__name__):
+    with caplog.at_level(logging.WARNING, logger=engine.__name__):
         for _ in range(2):
             assert_bit_identical(ref.run(workload), bat.run(workload))
     ran = kernel_runs() - before
     assert ran[f"reference: {reason}"] == 2 and "native" not in ran
     logged = [r.getMessage() for r in caplog.records
-              if r.name == batched.__name__]
+              if r.name == engine.__name__]
     assert len(logged) == 1 and reason in logged[0]
 
 
 def test_dense_horizon_fallback(monkeypatch, caplog):
-    """Past the calendar-size limit the batched engine must fall back to
-    the reference implementation (still exact), and say so once."""
-    monkeypatch.setattr(batched, "_DENSE_HORIZON_LIMIT", 100)
-    monkeypatch.setattr(batched, "_logged", set())
+    """Past the calendar-size limit the simulator must fall back to the
+    reference event loop (still exact), and say so once."""
+    monkeypatch.setattr(engine, "_DENSE_HORIZON_LIMIT", 100)
+    monkeypatch.setattr(engine, "_logged", set())
     if not native.available():
         pytest.skip("no C compiler available for the native kernel")
     xgft = m_port_n_tree(4, 2)
@@ -272,9 +266,9 @@ class PickyUniform(UniformRandom):
 ], ids=["custom-subclass", "overridden-built-in"])
 def test_workload_without_native_form_fallback(workload, monkeypatch,
                                                caplog):
-    """A custom ``Workload`` draws in Python only: the batched engine
-    hands the run to the reference engine (same bits) and logs why."""
-    monkeypatch.setattr(batched, "_logged", set())
+    """A custom ``Workload`` draws in Python only: the simulator hands
+    the run to the reference event loop (same bits) and logs why."""
+    monkeypatch.setattr(engine, "_logged", set())
     if not native.available():
         pytest.skip("no C compiler available for the native kernel")
     xgft = m_port_n_tree(4, 2)
@@ -298,16 +292,16 @@ def test_native_runs_are_counted(kernel):
     label = ("native" if kernel == "native"
              else "reference: native kernel unavailable")
     assert kernel_runs() - before == {
-        label: 2, "reference: engine='reference'": 1}
+        label: 2, "reference: ReferenceFlitSimulator": 1}
 
 
 def test_unrouted_pair_raises_like_the_reference(kernel):
     """A message between hosts without a route is a KeyError naming the
-    pair key on both engines."""
+    pair key on both paths."""
     cfg = FlitConfig(warmup_cycles=0, measure_cycles=100, drain_cycles=100)
     routes = {1: [(0,)]}  # 0 -> 1 only; 1 -> 0 (key 2) is unrouted
     trace = [TraceEntry(5, 0, 1), TraceEntry(9, 1, 0)]
-    for cls in (FlitSimulator, BatchedFlitSimulator):
+    for cls in (ReferenceFlitSimulator, FlitSimulator):
         sim = cls.from_tables(2, 2, routes, cfg)
         with pytest.raises(KeyError, match="2"):
             sim.run_trace(trace)
@@ -316,8 +310,8 @@ def test_unrouted_pair_raises_like_the_reference(kernel):
 @pytest.mark.parametrize("failure", ["missing", "failing"])
 def test_fallback_without_kernel(failure, monkeypatch, tmp_path, caplog):
     """No compiler, or a compiler that fails: the kernel is unavailable,
-    the reason is kept and logged once, and the batched engine still
-    returns the reference's bits."""
+    the reason is kept and logged once, and the simulator still returns
+    the reference's bits."""
     bindir = tmp_path / "bin"
     bindir.mkdir()
     if failure == "failing":

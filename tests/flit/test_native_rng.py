@@ -1,12 +1,12 @@
 """The native kernel's random draws are CPython's, bit for bit.
 
-The batched flit engine's injection plan runs in ``kernel.c`` on a C copy
+The flit simulator's injection plan runs in ``kernel.c`` on a C copy
 of CPython's MT19937, seeded from ``random.Random(seed).getstate()``.
 These tests pin its ``randrange``, ``random()`` and ``expovariate``
 draws to the running interpreter's ``random.Random`` over drawn seeds
 and bounds, and check the guard behind that contract: when the draws
-differ, the kernel is reported unavailable and the batched engine hands
-every run to the reference engine instead of producing other bits.
+differ, the kernel is reported unavailable and the simulator hands
+every run to the reference event loop instead of producing other bits.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.flit import (
-    BatchedFlitSimulator,
     FlitConfig,
     FlitSimulator,
+    ReferenceFlitSimulator,
     UniformRandom,
     native,
 )
@@ -86,7 +86,7 @@ def test_mismatched_draws_make_the_kernel_unavailable(lib, monkeypatch,
                                                      caplog):
     """A generator that differs from this interpreter's ``random`` must
     never run: ``available()`` is false, the reason names the Python
-    version, and the batched engine returns the reference's bits."""
+    version, and the simulator returns the reference's bits."""
     real = native.kernel_draws
 
     def off_by_one_ulp(lib, seed, draws):
@@ -112,7 +112,8 @@ def test_mismatched_draws_make_the_kernel_unavailable(lib, monkeypatch,
                      drain_cycles=400, seed=8)
     scheme = make_scheme(xgft, "disjoint:2")
     before = kernel_runs()
-    fast = BatchedFlitSimulator(xgft, scheme, cfg).run(UniformRandom(0.5))
+    fast = FlitSimulator(xgft, scheme, cfg).run(UniformRandom(0.5))
     assert kernel_runs() - before == {
         "reference: native kernel unavailable": 1}
-    assert fast == FlitSimulator(xgft, scheme, cfg).run(UniformRandom(0.5))
+    assert fast == ReferenceFlitSimulator(xgft, scheme, cfg).run(
+        UniformRandom(0.5))

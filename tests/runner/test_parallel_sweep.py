@@ -7,7 +7,6 @@ import pytest
 from repro.errors import ReproError, RunnerError
 from repro.experiments import figure5, table1
 from repro.experiments.registry import run_instrumented
-from repro.flit import native
 from repro.flit.config import FlitConfig
 from repro.flit.engine import FlitSimulator
 from repro.flit.sweep import load_sweep
@@ -174,6 +173,21 @@ class TestRegistryForwarding:
         with pytest.raises(ReproError, match="--jobs"):
             run_instrumented("theorems", jobs=4)
 
+    def test_jobs_capped_at_cpu_count(self, tree, monkeypatch):
+        """More workers than CPUs only contend: ``jobs`` is cut to the
+        CPU count (here 1, so no pool at all) and the cut is recorded."""
+        import repro.experiments.registry as registry
+
+        monkeypatch.setattr(registry.os, "cpu_count", lambda: 1)
+        rec = Recorder()
+        run = run_instrumented(
+            "figure5", fidelity_name="fast", jobs=4, recorder=rec,
+            topology=tree, loads=(0.3,), config=CFG, curves=("d-mod-k",))
+        assert rec.events_of("jobs_capped") == [
+            {"type": "jobs_capped", "requested": 4, "cpus": 1}]
+        assert "runner.pool_created" not in rec.counters
+        assert run.result.sweeps["d-mod-k"].runs[0].messages_measured > 0
+
     def test_cache_rejected_for_non_runner_aware(self, tmp_path):
         with pytest.raises(ReproError, match="--cache"):
             run_instrumented("theorems", cache=True)
@@ -183,23 +197,6 @@ class TestRegistryForwarding:
     def test_noop_values_accepted_everywhere(self):
         run = run_instrumented("resources", jobs=1, cache=False)
         assert run.result is not None
-
-    def test_manifest_records_flit_kernel(self, tree):
-        """Flit experiments record how their runs executed, also when the
-        runs happen in pool workers; other experiments record nothing."""
-        kwargs = dict(fidelity_name="fast", topology=tree, loads=(0.3,),
-                      config=CFG, curves=("d-mod-k",))
-        run = run_instrumented("figure5", **kwargs)
-        assert (run.manifest.extra["flit_kernel"]
-                == "reference: engine='reference'")
-        expected = ("native" if native.available()
-                    else "reference: native kernel unavailable")
-        for jobs in (1, 2):
-            run = run_instrumented("figure5", engine="batched", jobs=jobs,
-                                   **kwargs)
-            assert run.manifest.extra["flit_kernel"] == expected
-        assert "flit_kernel" not in run_instrumented(
-            "resources").manifest.extra
 
     def test_cache_dir_implies_cache(self, tree, tmp_path):
         run = run_instrumented(

@@ -78,13 +78,30 @@ class TestCommands:
         assert main(["fault-sweep", "--churn-seed", "1"]) == 2
         assert "does not support churn" in capsys.readouterr().err
 
-    def test_batched_engine_accepted_for_flit_experiments(self, capsys):
-        assert main(["table1", "--fidelity", "fast",
-                     "--engine", "batched", "--quiet"]) == 0
+    def test_flit_experiments_run_native_by_default(self, tmp_path):
+        """``table1`` with no engine flag runs the native flit kernel
+        (or says in the manifest why it could not)."""
+        import json
+
+        from repro.flit import native
+
+        path = tmp_path / "table1.jsonl"
+        assert main(["table1", "--fidelity", "fast", "--quiet",
+                     "--log-json", str(path)]) == 0
+        manifest = json.loads(path.read_text().splitlines()[0])
+        expected = ("native" if native.available()
+                    else "reference: native kernel unavailable")
+        assert manifest["extra"]["flit_kernel"] == expected
 
     def test_batched_engine_rejected_for_unaware_experiment(self, capsys):
-        assert main(["resources", "--engine", "batched"]) == 2
-        assert "does not support" in capsys.readouterr().err
+        # 'batched' is no engine any more: a usage error for every
+        # experiment, flit-level ones included.
+        for name in ("resources", "table1"):
+            with pytest.raises(SystemExit) as exc:
+                main([name, "--engine", "batched"])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "--engine" in err and "'batched'" in err
 
 
 class TestArgumentValidation:
