@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import TrafficError
-from repro.flow.metrics import performance_ratio
+from repro.flow.loads import permutation_mloads
+from repro.flow.metrics import optimal_load, performance_ratio
 from repro.routing.base import RoutingScheme
 from repro.topology.xgft import XGFT
 from repro.traffic.adversarial import theorem2_pattern
@@ -38,37 +39,24 @@ def worst_case_permutation(
     *,
     samples: int = 200,
     seed=None,
-    engine: str = "reference",
 ) -> tuple[float, np.ndarray]:
     """The worst performance ratio among ``samples`` random permutations;
     returns ``(ratio, permutation)``.
 
-    Both engines draw the identical permutation stream for a fixed
-    ``seed``; ``"compiled"`` evaluates all MLOADs in one batched call.
+    All MLOADs come from one :func:`~repro.flow.loads.permutation_mloads`
+    call; the first permutation reaching the maximum ratio is returned.
     """
     rng = as_generator(seed)
     n = xgft.n_procs
     perms = [random_permutation(n, rng) for _ in range(samples)]
-    if not perms:
-        return 0.0, np.arange(n)
-    if engine == "compiled":
-        # Local imports: repro.flow imports this module's package peers.
-        from repro.flow.engine import BatchFlowEngine
-        from repro.flow.metrics import max_link_load, optimal_load
-        from repro.routing.compiled import compile_scheme
-
-        mloads = BatchFlowEngine(compile_scheme(xgft, scheme)) \
-            .permutation_mloads(np.stack(perms))
-        ratios = np.empty(len(perms))
-        for i, perm in enumerate(perms):
-            opt = optimal_load(xgft, permutation_matrix(perm))
-            ratios[i] = mloads[i] / opt if opt > 0 else 1.0
-        best = int(np.argmax(ratios))
-        return float(ratios[best]), perms[best]
     best = 0.0
     best_perm = np.arange(n)
-    for perm in perms:
-        ratio = performance_ratio(xgft, scheme, permutation_matrix(perm))
+    if not perms:
+        return best, best_perm
+    mloads = permutation_mloads(xgft, scheme, np.stack(perms))
+    for perm, mload in zip(perms, mloads.tolist()):
+        opt = optimal_load(xgft, permutation_matrix(perm))
+        ratio = mload / opt if opt > 0 else 1.0
         if ratio > best:
             best, best_perm = ratio, perm
     return best, best_perm
@@ -80,14 +68,11 @@ def empirical_oblivious_ratio(
     *,
     permutation_samples: int = 100,
     seed=None,
-    engine: str = "reference",
 ) -> RatioEstimate:
     """Search hard traffic instances for the largest performance ratio.
 
     This is a *lower bound* on ``PERF(scheme)``; for UMULTI it returns
-    1.0 exactly (Theorem 1).  ``engine`` selects the evaluator for the
-    random-permutation sweep (the handful of structured candidates stay
-    on the closed-form path either way).
+    1.0 exactly (Theorem 1).
     """
     candidates: list[tuple[str, TrafficMatrix]] = []
     n = xgft.n_procs
@@ -107,7 +92,7 @@ def empirical_oblivious_ratio(
             best = RatioEstimate(ratio, name)
 
     perm_ratio, _ = worst_case_permutation(
-        xgft, scheme, samples=permutation_samples, seed=seed, engine=engine
+        xgft, scheme, samples=permutation_samples, seed=seed
     )
     if perm_ratio > best.ratio:
         best = RatioEstimate(perm_ratio, "random permutation")

@@ -11,7 +11,7 @@ Commands
   (files or directories) into a cross-run summary: per-phase
   p50/p95/p99 wall times, counter totals, span waterfalls
   (``--format text|json|prometheus``);
-* ``bench`` — run the perf benchmarks (flow engine, flit sweep, obs
+* ``bench`` — run the perf benchmarks (flow evaluator, flit sweep, obs
   overhead) and write ``BENCH_*.json`` snapshots; ``--check`` compares
   against the committed baselines and fails on regression
   (``--quick`` for the CI-sized protocol).
@@ -20,10 +20,9 @@ Every experiment subcommand also accepts the telemetry options
 (:mod:`repro.obs`): ``--seed N`` for a reproducible invocation,
 ``--log-json PATH`` to write a JSONL run log (manifest line, event
 stream, metrics line), ``--profile`` to print a timer/counter report,
-and ``--quiet`` to suppress the rendered result.  Flow-level
-permutation studies accept ``--engine compiled`` (compile routes once,
-batch-evaluate rounds) instead of the default ``reference`` evaluator;
-flit-level sweeps (``table1``, ``figure5``) always run the native flit
+and ``--quiet`` to suppress the rendered result.  No option selects
+an evaluator: flow-level studies always run the closed-form evaluator
+and flit-level sweeps (``table1``, ``figure5``) the native flit
 simulator.
 Fault-aware experiments (``fault-sweep``) accept ``--fault-rate R[,R...]``
 (link failure rate grid), ``--fault-links ID[,ID...]`` (explicit failed
@@ -247,7 +246,6 @@ def _cmd_experiment(args) -> int:
             seed=args.seed,
             recorder=rec,
             argv=getattr(args, "_argv", None),
-            engine=args.engine,
             fault_rate=args.fault_rate,
             fault_links=args.fault_links,
             fault_seed=args.fault_seed,
@@ -348,12 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     obs_parent.add_argument(
         "--quiet", action="store_true",
         help="suppress the rendered result (use with --log-json)")
-    obs_parent.add_argument(
-        "--engine", choices=("reference", "compiled"),
-        default=None,
-        help="flow evaluator for the permutation studies (figure4*, "
-             "ratios, fault-sweep): 'compiled' compiles routes once and "
-             "batch-evaluates rounds; 'reference' is the default")
     obs_parent.add_argument(
         "--fault-rate", metavar="R[,R...]", default=None,
         type=_arg_fault_rates,

@@ -31,19 +31,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.experiments.common import Fidelity, fidelity
 from repro.faults.churn import (
     ChurnSpec,
     IncrementalDegradedScheme,
     generate_trace,
 )
-from repro.flow.loads import link_loads
-from repro.flow.metrics import max_link_load
+from repro.flow.loads import permutation_mloads
 from repro.obs.recorder import get_recorder
 from repro.routing.factory import make_scheme
 from repro.topology.variants import m_port_n_tree
 from repro.topology.xgft import XGFT
-from repro.traffic.permutations import permutation_matrix, random_permutation
+from repro.traffic.permutations import random_permutation
 from repro.util.ascii_chart import AsciiChart
 from repro.util.rng import as_generator
 from repro.util.tables import format_table
@@ -146,10 +147,8 @@ def run(
     trace = generate_trace(xgft, ChurnSpec(n_events=n_events,
                                            seed=churn_seed))
     rng = as_generator(seed)
-    matrices = [
-        permutation_matrix(random_permutation(xgft.n_procs, rng))
-        for _ in range(fid.initial_samples)
-    ]
+    perms = np.stack([random_permutation(xgft.n_procs, rng)
+                      for _ in range(fid.initial_samples)])
     schemes = {
         c: IncrementalDegradedScheme(make_scheme(xgft, c)) for c in curves
     }
@@ -167,7 +166,7 @@ def run(
                 "topology": repr(xgft),
                 "scheme": spec_name,
                 "traffic_seed": seed,
-                "n_samples": len(matrices),
+                "n_samples": len(perms),
                 "step": step,
                 "cables": list(scheme.fabric.failed_cables),
                 "switches": list(scheme.fabric.failed_switches),
@@ -175,8 +174,7 @@ def run(
             record = cache.get_record(key)
             if record is not None:
                 return float(record["mload"])
-        loads = [max_link_load(link_loads(xgft, scheme, tm))
-                 for tm in matrices]
+        loads = permutation_mloads(xgft, scheme, perms).tolist()
         samples_used += len(loads)
         value = float(sum(loads) / len(loads))
         if cache is not None:

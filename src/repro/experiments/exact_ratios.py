@@ -36,9 +36,15 @@ def run(
     *,
     topology: XGFT | None = None,
     ks: tuple[int, ...] = (2, 3, 4),
-    **_ignored,
+    fidelity_name=None,
+    seed=None,
 ) -> ExactRatiosResult:
-    """Tabulate exact ratios on one (small) topology."""
+    """Tabulate exact ratios on one (small) topology.
+
+    The LP is exact and deterministic: ``fidelity_name`` and ``seed``
+    are accepted for CLI uniformity only.
+    """
+    del fidelity_name, seed
     xgft = topology if topology is not None else m_port_n_tree(8, 2)
     specs = ["d-mod-k", "s-mod-k"]
     for k in ks:

@@ -129,7 +129,6 @@ def run(
     fault_seed: int = 0,
     fault_links: tuple[int, ...] = (),
     n_jobs: int = 1,
-    engine: str = "reference",
 ) -> FaultSweepResult:
     """Run the fault sweep.
 
@@ -138,9 +137,6 @@ def run(
     traffic ``seed``.  ``fault_links`` overrides the random sweep with
     one explicit degraded point (the named cables fail, x-value is the
     resulting failed-cable fraction) — the CLI's ``--fault-links``.
-    ``engine`` selects the permutation evaluator exactly as in Figure 4;
-    both engines consume the identical permutation stream, so their
-    curves agree to float tolerance.
     """
     fid = fidelity(fidelity_name)
     xgft = topology if topology is not None else m_port_n_tree(8, 3)
@@ -153,7 +149,6 @@ def run(
         rel_precision=fid.rel_precision,
         seed=seed,
         n_jobs=n_jobs,
-        engine=engine,
     )
 
     if fault_links:

@@ -80,15 +80,12 @@ def run_panel(
     dense_k: bool = False,
     random_seeds: tuple[int, ...] = (0, 1, 2, 3, 4),
     n_jobs: int = 1,
-    engine: str = "reference",
 ) -> Figure4Result:
     """Regenerate one Figure 4 panel.
 
     ``topology`` overrides the panel's default (used by tests to run the
     same protocol on small trees); ``random_seeds`` controls how many
-    routing seeds the random heuristic is averaged over (paper: five);
-    ``engine`` selects the permutation evaluator (``"compiled"`` batches
-    each adaptive round — see ``docs/architecture.md``).
+    routing seeds the random heuristic is averaged over (paper: five).
     """
     fid = fidelity(fidelity_name)
     if topology is None:
@@ -103,7 +100,6 @@ def run_panel(
         rel_precision=fid.rel_precision,
         seed=seed,
         n_jobs=n_jobs,
-        engine=engine,
     )
     ks = k_grid(xgft.max_paths, dense=dense_k)
 

@@ -45,10 +45,14 @@ def run(
     ks: tuple[int, ...] = (2, 4),
     permutation_samples: int = 60,
     seed: int = 11,
-    engine: str = "reference",
-    **_ignored,
+    fidelity_name=None,
 ) -> RatiosResult:
-    """Tabulate ratio lower bounds per scheme on one topology."""
+    """Tabulate ratio lower bounds per scheme on one topology.
+
+    ``fidelity_name`` is accepted for CLI uniformity; the sample count is
+    ``permutation_samples`` at every fidelity.
+    """
+    del fidelity_name
     xgft = topology if topology is not None else m_port_n_tree(8, 2)
     try:
         adv = permutation_matrix(adversarial_permutation(xgft))
@@ -65,7 +69,6 @@ def run(
         scheme = make_scheme(xgft, spec, seed=seed)
         est = empirical_oblivious_ratio(
             xgft, scheme, permutation_samples=permutation_samples, seed=seed,
-            engine=engine,
         )
         best, witness = est.ratio, est.witness
         if adv is not None:

@@ -38,9 +38,12 @@ class TheoremsResult:
         return "\n".join(lines)
 
 
-def run(*, seed: int = 7, samples: int = 5, **_ignored) -> TheoremsResult:
+def run(*, seed: int = 7, samples: int = 5,
+        fidelity_name=None) -> TheoremsResult:
     """Validate the paper's lemma and theorems on several topologies and
-    traffic matrices."""
+    traffic matrices (``samples`` permutations each, at every
+    ``fidelity_name``)."""
+    del fidelity_name
     reports: list[TheoremReport] = []
     topologies = [m_port_n_tree(8, 2), m_port_n_tree(8, 3)]
     for xgft in topologies:

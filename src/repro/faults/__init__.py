@@ -12,7 +12,7 @@ The layer has three pieces, composed left to right::
   filtered through the mask, with per-pair fraction renormalization and
   typed :class:`~repro.errors.DisconnectedPairError` on stranded pairs.
 
-Both flow engines, the flit engine and the LFT compiler accept the
+The flow evaluator, the flit simulator and the LFT compiler accept the
 wrapped scheme transparently; see ``docs/architecture.md``.
 
 For *streaming* faults — rolling fail/repair event streams applied in

@@ -87,7 +87,7 @@ class DegradedFabric:
         ``(level, index)`` pairs of dead switches; all incident links die.
 
     The derived :attr:`link_ok` mask is the single source of truth for
-    every consumer (routing, flow engines, flit engine).
+    every consumer (routing, the flow evaluator, the flit simulator).
 
     The fabric is *mutable*: :meth:`fail_cable` / :meth:`repair_cable` /
     :meth:`fail_switch` / :meth:`repair_switch` apply one fail/repair

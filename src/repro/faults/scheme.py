@@ -79,7 +79,7 @@ class DegradedScheme(RoutingScheme):
         if not hasattr(base, "path_order_matrix"):
             raise FaultError(
                 f"{type(base).__name__} exposes no path preference order; "
-                f"wrap the underlying scheme, not a compiled plan"
+                "wrap a routing scheme"
             )
         if isinstance(base, DegradedScheme):
             raise FaultError("refusing to stack degraded wrappers; rebuild "

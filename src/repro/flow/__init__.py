@@ -6,8 +6,7 @@ Metrics follow Section 3.2: maximum link load (MLOAD), the optimal load
 (OLOAD, computed exactly via Lemma 1 + Theorem 1) and performance ratios.
 """
 
-from repro.flow.engine import BatchFlowEngine
-from repro.flow.loads import link_loads
+from repro.flow.loads import link_loads, permutation_mloads
 from repro.flow.metrics import (
     max_link_load,
     ml_lower_bound,
@@ -15,18 +14,17 @@ from repro.flow.metrics import (
     performance_ratio,
     permutation_optimal_load,
 )
-from repro.flow.simulator import ENGINES, FlowResult, FlowSimulator
+from repro.flow.simulator import FlowResult, FlowSimulator
 from repro.flow.sampling import PermutationStudy, PermutationStudyResult
 
 __all__ = [
     "link_loads",
+    "permutation_mloads",
     "max_link_load",
     "ml_lower_bound",
     "optimal_load",
     "performance_ratio",
     "permutation_optimal_load",
-    "BatchFlowEngine",
-    "ENGINES",
     "FlowSimulator",
     "FlowResult",
     "PermutationStudy",

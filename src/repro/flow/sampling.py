@@ -7,23 +7,20 @@ round, per Section 5).  Randomized routing schemes are averaged over
 several seeds, matching "the results are the average of five random
 seeds".
 
-Engines
--------
-With ``engine="compiled"`` the scheme is compiled once per study run
-(:func:`repro.routing.compiled.compile_scheme`) and each adaptive round
-is evaluated as one batched call
-(:meth:`repro.flow.engine.BatchFlowEngine.permutation_mloads`); with
-``n_jobs > 1`` the *compiled plan* — not the scheme — ships to the pool
-workers, so workers skip route construction entirely.  Both engines
-consume the identical permutation stream for a fixed seed, so their
-samples agree to float tolerance.
+Evaluation
+----------
+Each adaptive round (64, 128, ... permutations) is evaluated by
+:func:`repro.flow.loads.permutation_mloads`, which stacks several
+permutations into one closed-form pass.  With ``n_jobs > 1`` every pool
+worker draws its share of the round from its own child seed and
+evaluates it the same way.
 
 Pool lifecycle
 --------------
 Parallel sampling runs on a :class:`repro.runner.pool.PersistentPool`:
 one set of worker processes serves *every* adaptive round of a run (and
-every run of a seed family), and the evaluation context — the compiled
-plan or the (topology, scheme) pair — ships to each worker once per run
+every run of a seed family), and the evaluation context — the
+(topology, scheme) pair — ships to each worker once per run
 rather than once per task.  A study created without an external
 ``pool`` owns its pool and closes it when the outermost unit of work
 finishes (the run, or the whole seed family); use the study as a
@@ -38,17 +35,21 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.analysis.ci import ConfidenceInterval, confidence_interval
-from repro.flow.engine import BatchFlowEngine
+from repro.flow.loads import permutation_mloads
 from repro.flow.metrics import permutation_optimal_load
-from repro.flow.simulator import ENGINES, FlowSimulator
 from repro.obs.recorder import get_recorder, use_recorder
 from repro.obs.trace import span
 from repro.routing.base import RoutingScheme
-from repro.routing.compiled import CompiledScheme, compile_scheme
 from repro.runner.pool import PersistentPool, load_context
 from repro.topology.xgft import XGFT
-from repro.traffic.permutations import permutation_matrix, random_permutation
+from repro.traffic.permutations import random_permutation
 from repro.util.rng import as_generator
+
+
+def _round_permutations(n_procs: int, count: int, rng) -> np.ndarray:
+    """``count`` random permutations drawn in order from ``rng``, as a
+    ``(count, n_procs)`` array."""
+    return np.stack([random_permutation(n_procs, rng) for _ in range(count)])
 
 
 def _worker_mloads(xgft: XGFT, scheme: RoutingScheme, seed: int,
@@ -61,55 +62,25 @@ def _worker_mloads(xgft: XGFT, scheme: RoutingScheme, seed: int,
     through :meth:`~repro.runner.pool.PersistentPool.submit_task`
     (which ships the snapshot back for the parent to merge).
     """
-    sim = FlowSimulator(xgft)
     rng = np.random.default_rng(seed)
     rec = get_recorder()
     with rec.timer("flow.sampling.worker"):
-        loads = [
-            sim.max_load(scheme, permutation_matrix(
-                random_permutation(xgft.n_procs, rng)))
-            for _ in range(count)
-        ]
-    rec.count("flow.samples", count)
-    return loads
-
-
-def _worker_batch_mloads(plan: CompiledScheme, seed: int,
-                         count: int) -> list[float]:
-    """Compiled-engine pool worker: evaluate ``count`` permutations in
-    one batched call against a precompiled routing plan.
-
-    Draws the same permutation stream as :func:`_worker_mloads` for the
-    same seed, so reference and compiled parallel runs agree sample for
-    sample.  Recorder handling mirrors the reference worker exactly
-    (same timer name, same ``flow.samples`` counter) so merged
-    telemetry is engine-independent.
-    """
-    engine = BatchFlowEngine(plan)
-    rng = np.random.default_rng(seed)
-    n = plan.xgft.n_procs
-    rec = get_recorder()
-    with rec.timer("flow.sampling.worker"):
-        perms = np.stack([random_permutation(n, rng) for _ in range(count)])
-        loads = engine.permutation_mloads(perms).tolist()
+        perms = _round_permutations(xgft.n_procs, count, rng)
+        loads = permutation_mloads(xgft, scheme, perms).tolist()
     rec.count("flow.samples", count)
     return loads
 
 
 def _pool_sample_task(token: str, seed: int, count: int) -> list[float]:
-    """Persistent-pool worker: dispatch to the engine the study's
-    context was built for.
+    """Persistent-pool worker: evaluate one chunk of a round against the
+    study's context.
 
-    The context (compiled plan, or topology + scheme) crosses the
-    process boundary at most once per worker
-    (:func:`repro.runner.pool.load_context`); per-task arguments are
-    three scalars.  Delegates to the classic workers so samples are
-    identical to the historical per-round-pool implementation.
+    The context (topology + scheme) crosses the process boundary at
+    most once per worker (:func:`repro.runner.pool.load_context`);
+    per-task arguments are three scalars.
     """
     ctx = load_context(token)
-    with span("flow.sample_chunk", engine=ctx["engine"], count=count):
-        if ctx["engine"] == "compiled":
-            return _worker_batch_mloads(ctx["plan"], seed, count)
+    with span("flow.sample_chunk", count=count):
         return _worker_mloads(ctx["xgft"], ctx["scheme"], seed, count)
 
 
@@ -168,11 +139,6 @@ class PermutationStudy:
         studies or runners.  The study never closes an external pool.
         Chunking (and therefore the sample stream) is still governed by
         ``n_jobs``, not by the pool's worker count.
-    engine:
-        ``"reference"`` evaluates one permutation at a time through
-        :class:`FlowSimulator`; ``"compiled"`` compiles the scheme once
-        per :meth:`run` and evaluates whole rounds as single batched
-        calls (ships the compiled plan to pool workers).
     recorder:
         Optional :class:`repro.obs.Recorder`.  ``None`` (default) uses
         the ambient recorder (:func:`repro.obs.get_recorder`) at run
@@ -192,7 +158,6 @@ class PermutationStudy:
         max_samples: int = 4096,
         seed=None,
         n_jobs: int = 1,
-        engine: str = "reference",
         recorder=None,
         pool: PersistentPool | None = None,
     ):
@@ -202,16 +167,12 @@ class PermutationStudy:
             raise ValueError("max_samples must be >= initial_samples")
         if n_jobs < 1:
             raise ValueError("n_jobs must be >= 1")
-        if engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
         self.xgft = xgft
-        self.sim = FlowSimulator(xgft)
         self.initial_samples = initial_samples
         self.rel_precision = rel_precision
         self.confidence = confidence
         self.max_samples = max_samples
         self.n_jobs = n_jobs
-        self.engine = engine
         self._seed = seed
         self._recorder = recorder
         self._perm_optimal: float | None = None
@@ -256,18 +217,12 @@ class PermutationStudy:
             self.close()
 
     def _mload_samples(self, scheme: RoutingScheme, count: int, rng,
-                       rec, batch: BatchFlowEngine | None) -> list[float]:
+                       rec) -> list[float]:
         if count <= 0:
             return []
         if self.n_jobs == 1:
-            # Both engines consume the identical permutation stream.
-            perms = [random_permutation(self.xgft.n_procs, rng)
-                     for _ in range(count)]
-            if batch is not None:
-                out = batch.permutation_mloads(np.stack(perms)).tolist()
-            else:
-                out = [self.sim.max_load(scheme, permutation_matrix(p))
-                       for p in perms]
+            perms = _round_permutations(self.xgft.n_procs, count, rng)
+            out = permutation_mloads(self.xgft, scheme, perms).tolist()
             rec.count("flow.samples", count)
             return out
         # Parallel: split the round into per-worker chunks with
@@ -292,7 +247,7 @@ class PermutationStudy:
                 rec.merge(snapshot)
         return out
 
-    def run(self, scheme: RoutingScheme | CompiledScheme) -> PermutationStudyResult:
+    def run(self, scheme: RoutingScheme) -> PermutationStudyResult:
         """Average max permutation load of ``scheme`` under the adaptive
         stopping rule."""
         rec = self._recorder if self._recorder is not None else get_recorder()
@@ -302,23 +257,16 @@ class PermutationStudy:
         round_index = 0
         try:
             with use_recorder(rec), span("flow.study", scheme=scheme.label):
-                batch = None
-                if self.engine == "compiled" or isinstance(scheme, CompiledScheme):
-                    # Compile once; every round reuses the plan.
-                    batch = BatchFlowEngine(compile_scheme(self.xgft, scheme))
                 if self.n_jobs > 1:
                     # Ship the evaluation context to the pool once per
                     # run; every round's tasks reference it by token.
-                    ctx = ({"engine": "compiled", "plan": batch.plan}
-                           if batch is not None else
-                           {"engine": "reference", "xgft": self.xgft,
-                            "scheme": scheme})
-                    self._ctx_token = self._study_pool().put_context(ctx)
+                    self._ctx_token = self._study_pool().put_context(
+                        {"xgft": self.xgft, "scheme": scheme})
                 optimal = self.permutation_optimal
                 while True:
                     with rec.timer("flow.sampling.round"):
                         samples.extend(self._mload_samples(
-                            scheme, target - len(samples), rng, rec, batch))
+                            scheme, target - len(samples), rng, rec))
                     interval = confidence_interval(samples, self.confidence)
                     if rec.enabled:
                         rec.event(

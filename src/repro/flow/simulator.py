@@ -2,21 +2,10 @@
 
 Bundles the link-load evaluation and metrics into one object with a
 result type that carries per-level breakdowns — convenient for examples,
-experiments and the CLI.
-
-Two evaluation engines are available (see ``docs/architecture.md``):
-
-* ``"reference"`` — the original closed-form evaluator
-  (:func:`repro.flow.loads.link_loads`), which re-derives the routing
-  decision per traffic matrix.  Simple, memory-light, the spec.
-* ``"compiled"`` — routes are compiled once per scheme
-  (:func:`repro.routing.compiled.compile_scheme`) and every evaluation
-  is a gather + bincount over the cached incidence
-  (:class:`repro.flow.engine.BatchFlowEngine`).  Much faster when the
-  same scheme is evaluated against many traffic matrices.
-
-Both agree to 1e-9 on every scheme family; the parity suite in
-``tests/flow/test_engine.py`` enforces it.
+experiments and the CLI.  Every evaluation is the closed-form arithmetic
+of :mod:`repro.flow.loads`: :func:`~repro.flow.loads.link_loads` for one
+traffic matrix, :func:`~repro.flow.loads.permutation_mloads` for a batch
+of permutations.
 """
 
 from __future__ import annotations
@@ -25,16 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.flow.engine import BatchFlowEngine
-from repro.flow.loads import link_loads
+from repro.flow.loads import link_loads, permutation_mloads
 from repro.flow.metrics import max_link_load, optimal_load
 from repro.obs.recorder import get_recorder
 from repro.routing.base import RoutingScheme
-from repro.routing.compiled import CompiledScheme, compile_scheme
 from repro.topology.xgft import XGFT
 from repro.traffic.matrix import TrafficMatrix
-
-ENGINES = ("reference", "compiled")
 
 
 @dataclass(frozen=True)
@@ -92,10 +77,6 @@ class FlowSimulator:
     ----------
     xgft:
         Topology under test.
-    engine:
-        ``"reference"`` (default) re-derives routes per evaluation;
-        ``"compiled"`` compiles each scheme once on first use and serves
-        every subsequent evaluation from the cached incidence.
 
     >>> from repro.topology import m_port_n_tree
     >>> from repro.routing import make_scheme
@@ -108,38 +89,18 @@ class FlowSimulator:
     1.0
     """
 
-    def __init__(self, xgft: XGFT, *, engine: str = "reference"):
-        if engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
+    def __init__(self, xgft: XGFT):
         self.xgft = xgft
-        self.engine = engine
         # Per-boundary (up, down) link-id slices, precomputed once — the
         # link layout is contiguous per level, so per-evaluate boolean
         # masking is unnecessary.
         self._boundary_slices = tuple(
             xgft.boundary_link_slices(l) for l in range(xgft.h)
         )
-        self._batch_engines: dict[RoutingScheme, BatchFlowEngine] = {}
-
-    def batch_engine(self, scheme: RoutingScheme | CompiledScheme) -> BatchFlowEngine:
-        """The cached :class:`BatchFlowEngine` for ``scheme``, compiling
-        the plan on first use."""
-        eng = self._batch_engines.get(scheme)
-        if eng is None:
-            plan = scheme if isinstance(scheme, CompiledScheme) \
-                else compile_scheme(self.xgft, scheme)
-            eng = BatchFlowEngine(plan)
-            self._batch_engines[scheme] = eng
-        return eng
-
-    def _link_loads(self, scheme, tm: TrafficMatrix) -> np.ndarray:
-        if self.engine == "compiled":
-            return self.batch_engine(scheme).link_loads(tm)
-        return link_loads(self.xgft, scheme, tm)
 
     def evaluate(
         self,
-        scheme: RoutingScheme | CompiledScheme,
+        scheme: RoutingScheme,
         tm: TrafficMatrix,
         *,
         optimal: float | None = None,
@@ -150,7 +111,7 @@ class FlowSimulator:
         already knows it — e.g. permutation studies, where the optimal
         is invariant across samples and hoisted out of the loop.
         """
-        loads = self._link_loads(scheme, tm)
+        loads = link_loads(self.xgft, scheme, tm)
         mload = max_link_load(loads)
         opt = optimal_load(self.xgft, tm) if optimal is None else float(optimal)
         per_level = []
@@ -165,28 +126,16 @@ class FlowSimulator:
         return FlowResult(loads, mload, opt, ratio, tuple(per_level))
 
     def max_load(self, scheme, tm: TrafficMatrix) -> float:
-        """Just ``MLOAD`` — the cheap path used by the sampling loops."""
+        """Just ``MLOAD`` of one traffic matrix (no per-level split)."""
         rec = get_recorder()
         if not rec.enabled:
-            return max_link_load(self._link_loads(scheme, tm))
+            return max_link_load(link_loads(self.xgft, scheme, tm))
         with rec.timer("flow.max_load"):
-            mload = max_link_load(self._link_loads(scheme, tm))
+            mload = max_link_load(link_loads(self.xgft, scheme, tm))
         rec.count("flow.max_load_calls")
         return mload
 
     def permutation_mloads(self, scheme, perms: np.ndarray) -> np.ndarray:
-        """MLOAD of a ``(B, n_procs)`` batch of permutations.
-
-        Under the compiled engine this is one stacked evaluation; the
-        reference engine falls back to a scalar loop (kept as the
-        comparison baseline for the parity tests and benchmarks).
-        """
-        if self.engine == "compiled":
-            return self.batch_engine(scheme).permutation_mloads(perms)
-        from repro.traffic.permutations import permutation_matrix
-
-        perms = np.atleast_2d(np.asarray(perms, dtype=np.int64))
-        return np.array([
-            max_link_load(link_loads(self.xgft, scheme, permutation_matrix(p)))
-            for p in perms
-        ])
+        """MLOAD of a ``(B, n_procs)`` batch of permutations, evaluated
+        in stacked passes (:func:`repro.flow.loads.permutation_mloads`)."""
+        return permutation_mloads(self.xgft, scheme, perms)

@@ -7,7 +7,6 @@ share.
 """
 
 from repro.routing.base import LimitedMultipathScheme, RouteSet, RoutingScheme
-from repro.routing.compiled import CompiledScheme, compile_scheme
 from repro.routing.enumeration import PathCodec, disjoint_order, path_codec
 from repro.routing.factory import available_schemes, make_scheme
 from repro.routing.heuristics import (
@@ -25,8 +24,6 @@ __all__ = [
     "RoutingScheme",
     "LimitedMultipathScheme",
     "RouteSet",
-    "CompiledScheme",
-    "compile_scheme",
     "RouteTable",
     "PathCodec",
     "path_codec",

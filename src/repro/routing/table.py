@@ -1,11 +1,9 @@
 """Route tables as CSR int arrays: pair -> paths -> channel ids.
 
 Every flit route table — built from a closed-form scheme
-(:func:`repro.routing.vectorized.compile_routes`), read off a compiled
-plan (:meth:`repro.routing.compiled.CompiledScheme.route_table`) or
-traced through a discovered fabric
-(:func:`repro.fabric.evaluate.compile_flit_routes`) — is one immutable
-:class:`RouteTable` of three arrays:
+(:func:`repro.routing.vectorized.compile_routes`) or traced through a
+discovered fabric (:func:`repro.fabric.evaluate.compile_flit_routes`) —
+is one immutable :class:`RouteTable` of three arrays:
 
 * ``pair_off`` (``n**2 + 1``): the paths of pair key ``src * n + dst``
   are the path ids ``pair_off[key]:pair_off[key + 1]``, in the scheme's

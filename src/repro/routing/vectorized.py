@@ -74,11 +74,6 @@ def compile_routes(
     ``path_index_matrix``/``path_link_matrix`` evaluation plus a
     scatter — no Python loop per pair or per path.
     """
-    if hasattr(scheme, "route_table"):
-        # Compiled plans already hold the per-pair link incidence —
-        # serve the table straight from it (duck-typed to avoid an
-        # import cycle with repro.routing.compiled).
-        return scheme.route_table(pairs)
     n = xgft.n_procs
     if pairs is None:
         grid_s, grid_d = np.divmod(np.arange(n * n, dtype=np.int64), n)

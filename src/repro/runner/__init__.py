@@ -4,7 +4,7 @@
 panel-scale experiments:
 
 * :class:`~repro.runner.pool.PersistentPool` — a reusable process pool
-  whose workers receive large immutable payloads (compiled plans, route
+  whose workers receive large immutable payloads (schemes, route
   tables) once per worker via spill-file contexts instead of once per
   task;
 * :class:`~repro.runner.cache.ResultCache` — an on-disk JSONL cache of

@@ -1,8 +1,8 @@
 """Persistent process pools with one-shot context shipping.
 
 Every parallel layer in this codebase fans the same few kilobytes-to-
-megabytes of immutable state — a compiled routing plan, a route table, a
-dict of flit simulators — out to worker processes, then streams many
+megabytes of immutable state — a routing scheme, a route table, a dict
+of flit simulators — out to worker processes, then streams many
 small tasks against it.  Rebuilding a ``ProcessPoolExecutor`` per
 adaptive round (the pre-runner behaviour of
 :class:`repro.flow.sampling.PermutationStudy`) pays process start-up per
@@ -25,8 +25,8 @@ read; the file path is the start-method-agnostic fallback (spawn,
 forkserver, or contexts registered after the first submit).
 
 Context payloads are treated as immutable by the parent.  Workers may
-cache *derived* objects onto a dict payload (e.g. an engine built from a
-plan) — such mutations stay process-local.
+cache *derived* objects onto a dict payload (e.g. a simulator built
+from a route table) — such mutations stay process-local.
 
 Telemetry (through the ambient :mod:`repro.obs` recorder):
 ``runner.pool_created`` (executor constructions — the pool-churn

@@ -27,29 +27,30 @@ class TestRegistry:
 
 
 class TestEngineForwarding:
-    def test_flow_level_experiments_are_engine_aware(self):
-        for name in ("figure4a", "figure4b", "figure4c", "figure4d", "ratios"):
-            assert get_experiment(name).engine_aware, name
+    """No experiment takes an evaluator option: flow studies always run
+    the stacked closed-form evaluator, flit sweeps the native kernel."""
+
+    def test_flow_level_experiments_take_no_engine(self):
+        for name in ("figure4a", "figure4b", "figure4c", "figure4d", "ratios",
+                     "fault-sweep", "churn-sweep"):
+            assert not hasattr(get_experiment(name), "engine_aware"), name
+            with pytest.raises(TypeError, match="engine"):
+                run_experiment(name, fidelity_name="fast", engine="reference")
 
     def test_flit_experiments_are_not_engine_aware(self):
-        # table1/figure5 always run FlitSimulator: --engine is the flow
-        # evaluator's knob, so a non-reference one is an error there.
         for name in ("table1", "figure5"):
-            assert not get_experiment(name).engine_aware, name
-            with pytest.raises(ReproError, match="does not support"):
+            assert not hasattr(get_experiment(name), "engine_aware"), name
+            with pytest.raises(TypeError, match="engine"):
                 run_instrumented(name, engine="compiled")
 
     def test_exact_experiments_are_not_engine_aware(self):
         for name in ("theorems", "resources", "exact-ratios"):
-            assert not get_experiment(name).engine_aware, name
+            assert not hasattr(get_experiment(name), "engine_aware"), name
 
     def test_unaware_experiment_rejects_compiled_engine(self):
-        with pytest.raises(ReproError, match="does not support"):
-            run_instrumented("resources", engine="compiled")
-
-    def test_unaware_experiment_accepts_reference_engine(self):
-        run = run_instrumented("resources", engine="reference")
-        assert run.result is not None
+        for engine in ("compiled", "reference"):
+            with pytest.raises(TypeError, match="engine"):
+                run_instrumented("resources", engine=engine)
 
 
 class TestTheoremsExperiment:

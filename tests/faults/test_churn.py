@@ -17,13 +17,9 @@ from repro.faults import (
 )
 from repro.faults.spec import samplable_cables
 from repro.obs import Recorder, use_recorder
-from repro.routing.compiled import (
-    LinkPairIndex,
-    candidate_link_index,
-    compile_scheme,
-)
+from repro.routing.compiled import LinkPairIndex, candidate_link_index
 from repro.routing.factory import make_scheme
-from repro.routing.vectorized import path_link_matrix
+from repro.routing.vectorized import compile_routes, path_link_matrix
 from repro.topology.variants import m_port_n_tree
 from repro.topology.xgft import XGFT
 
@@ -158,31 +154,36 @@ class TestCandidateLinkIndex:
             assert np.all(np.diff(pairs) > 0)
 
 
+def _selected_pairs(xgft, table) -> dict[int, set[int]]:
+    """Link -> pair keys over the paths a compiled route table selects."""
+    out: dict[int, set[int]] = {link: set() for link in range(xgft.n_links)}
+    for key, paths in table.items():
+        for path in paths:
+            for link in path:
+                out[link].add(key)
+    return out
+
+
 class TestCompiledLinkIndex:
     def test_selected_subset_of_candidates(self, tree8x2):
-        # The compiled plan's transpose covers *selected* paths only, so
+        # A compiled route table holds the *selected* paths only, so
         # each link's pair set is a subset of the candidate index's.
-        plan = compile_scheme(tree8x2, make_scheme(tree8x2, "disjoint:2"))
-        selected = plan.link_index()
+        table = compile_routes(tree8x2, make_scheme(tree8x2, "disjoint:2"))
+        selected = _selected_pairs(tree8x2, table)
         candidates = candidate_link_index(tree8x2)
-        assert selected.n_links == candidates.n_links
+        assert candidates.n_links == tree8x2.n_links
         for link in range(0, tree8x2.n_links, 5):
-            sel = set(selected.pairs_of(link).tolist())
             cand = set(candidates.pairs_of(link).tolist())
-            assert sel <= cand
+            assert selected[link] <= cand
 
     def test_umulti_selected_equals_candidates(self, tree8x2):
-        # UMULTI uses every candidate path, so the two transposes agree.
-        plan = compile_scheme(tree8x2, make_scheme(tree8x2, "umulti"))
-        selected = plan.link_index()
+        # UMULTI uses every candidate path, so the two agree exactly.
+        table = compile_routes(tree8x2, make_scheme(tree8x2, "umulti"))
+        selected = _selected_pairs(tree8x2, table)
         candidates = candidate_link_index(tree8x2)
         for link in range(tree8x2.n_links):
-            assert np.array_equal(selected.pairs_of(link),
+            assert np.array_equal(sorted(selected[link]),
                                   candidates.pairs_of(link))
-
-    def test_cached_on_plan(self, tree8x2):
-        plan = compile_scheme(tree8x2, make_scheme(tree8x2, "d-mod-k"))
-        assert plan.link_index() is plan.link_index()
 
 
 class TestIncrementalDegradedScheme:

@@ -6,7 +6,7 @@ bit-identical to a :class:`~repro.faults.scheme.DegradedScheme` built
 from scratch over the same cumulative fault set: identical
 ``path_index_matrix``, identical ``path_weight_matrix`` (including the
 weight-0 padding rows), identical per-pair routes, and identical MLOAD
-under both flow engines.  The from-scratch wrapper is the oracle — it is
+under the stacked evaluator and its per-permutation oracle.  The from-scratch wrapper is the oracle — it is
 exercised by the whole fault-sweep test surface — so any divergence
 localizes the bug to the incremental delta path.
 
@@ -106,9 +106,9 @@ def test_incremental_equals_fresh_recompile_after_every_event(
             f"after event {i} ({event.label}) on {topo_key}/{spec}")
 
 
-@pytest.mark.parametrize("engine", ["reference", "compiled"])
+@pytest.mark.parametrize("engine", ["reference", "stacked"])
 def test_identical_mload_under_both_engines(engine, tree8x2):
-    # The engines consume the scheme through path_index/weight_matrix,
+    # Both evaluators consume the scheme through path_index/weight_matrix,
     # so equality there implies equal loads — this pins the integration
     # end to end anyway: evaluate real permutations on both wrappers.
     base = make_scheme(tree8x2, "disjoint:2")
@@ -121,15 +121,10 @@ def test_identical_mload_under_both_engines(engine, tree8x2):
     for event in trace:
         inc.apply_event(event)
         oracle = _oracle(base, inc.fabric)
-        if engine == "compiled":
-            from repro.flow.engine import BatchFlowEngine
-            from repro.routing.compiled import compile_scheme
-
-            got = BatchFlowEngine(
-                compile_scheme(tree8x2, inc)).permutation_mloads(perms)
-            want = BatchFlowEngine(
-                compile_scheme(tree8x2, oracle)).permutation_mloads(perms)
-            np.testing.assert_array_equal(got, want)
+        if engine == "stacked":
+            np.testing.assert_array_equal(
+                sim.permutation_mloads(inc, perms),
+                sim.permutation_mloads(oracle, perms))
         else:
             for p in perms:
                 tm = permutation_matrix(p)

@@ -86,7 +86,7 @@ class TestInterleaving:
             scheme = DegradedScheme(make_scheme(xgft, spec), fabric)
             study = PermutationStudy(
                 xgft, initial_samples=8, max_samples=8, rel_precision=0.5,
-                seed=seed, engine="compiled")
+                seed=seed)
             return study, scheme
 
         # Solo runs.

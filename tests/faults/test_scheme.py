@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from repro.errors import DisconnectedPairError, FaultError
-from repro.faults import DegradedFabric, DegradedScheme, FaultSpec
-from repro.routing.compiled import compile_scheme
+from repro.faults import (DegradedFabric, DegradedScheme, FaultSpec,
+                          IncrementalDegradedScheme)
 from repro.routing.factory import make_scheme
 
 SCHEME_SPECS = ("d-mod-k", "s-mod-k", "shift-1:2", "disjoint:2",
@@ -30,9 +30,17 @@ class TestConstruction:
             DegradedScheme(ds, fabric)
 
     def test_refuses_compiled_plans(self, tree8x2, fabric):
-        plan = compile_scheme(tree8x2, make_scheme(tree8x2, "d-mod-k"))
-        with pytest.raises(FaultError, match="preference order"):
-            DegradedScheme(plan, fabric)
+        # A read-only route source (path indices, no preference order)
+        # cannot be re-routed around faults.
+        class RoutesOnly:
+            xgft = tree8x2
+            path_index_matrix = make_scheme(tree8x2, "d-mod-k") \
+                .path_index_matrix
+
+        for wrapper in (DegradedScheme, IncrementalDegradedScheme):
+            with pytest.raises(FaultError, match="preference order") as err:
+                wrapper(RoutesOnly(), fabric)
+            assert "compiled" not in str(err.value)
 
     def test_refuses_topology_mismatch(self, tree8x2, tree8x3):
         with pytest.raises(FaultError, match="different topologies"):

@@ -1,9 +1,13 @@
-"""Engine parity: the compiled evaluator must match the reference.
+"""Flow evaluator parity: stacked permutations and the path oracle.
 
-The acceptance bar for the compiled path is numerical agreement with the
-closed-form reference evaluator to 1e-9 on identical traffic matrices,
-across every scheme family and on both 2- and 3-level topologies
-(including an irregular one with w_1 > 1).
+The product evaluates each sampling round with
+:func:`repro.flow.loads.permutation_mloads`, which stacks permutations
+into one closed-form pass.  Its oracle is the per-permutation
+:func:`~repro.flow.loads.link_loads` loop, and the bar is *bit*
+identity (``np.array_equal``), across every scheme family on 2- and
+3-level topologies (including an irregular one with w_1 > 1).
+:func:`~repro.flow.loads.link_loads` itself is checked against the
+scalar per-path oracle on weighted and all-to-all traffic.
 """
 
 from __future__ import annotations
@@ -11,18 +15,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.flow.engine import BatchFlowEngine
-from repro.flow.loads import link_loads
+import repro.flow.loads as loads_mod
+from repro.errors import TrafficError
+from repro.flow.loads import link_loads, permutation_mloads, stack_rows
 from repro.flow.metrics import max_link_load, permutation_optimal_load
 from repro.flow.sampling import PermutationStudy
 from repro.flow.simulator import FlowSimulator
-from repro.routing.compiled import compile_scheme
 from repro.routing.factory import make_scheme
 from repro.topology.variants import m_port_n_tree
 from repro.topology.xgft import XGFT
 from repro.traffic.matrix import TrafficMatrix
 from repro.traffic.permutations import permutation_matrix, random_permutation
 from repro.traffic.synthetic import all_to_all, shift_pattern
+from tests.flow.oracles import loop_mloads, reference_loads
 
 SCHEME_SPECS = ("d-mod-k", "s-mod-k", "shift-1:3", "disjoint:3", "random:3",
                 "umulti")
@@ -46,92 +51,149 @@ def _random_tm(xgft, seed=0):
                          rng.uniform(0.1, 2.0, int(keep.sum())))
 
 
+def _perms(n, count, seed):
+    rng = np.random.default_rng(seed)
+    return np.stack([random_permutation(n, rng) for _ in range(count)])
+
+
 @pytest.mark.parametrize("xgft", TOPOLOGIES, ids=repr)
 @pytest.mark.parametrize("spec", SCHEME_SPECS)
 class TestLinkLoadParity:
     def test_permutation_traffic(self, xgft, spec):
         scheme = make_scheme(xgft, spec, seed=5)
-        engine = BatchFlowEngine(compile_scheme(xgft, scheme))
-        rng = np.random.default_rng(42)
-        for _ in range(3):
-            tm = permutation_matrix(random_permutation(xgft.n_procs, rng))
-            ref = link_loads(xgft, scheme, tm)
-            np.testing.assert_allclose(engine.link_loads(tm), ref, atol=1e-9)
+        perms = _perms(xgft.n_procs, 3, 42)
+        assert np.array_equal(permutation_mloads(xgft, scheme, perms),
+                              loop_mloads(xgft, scheme, perms))
 
     def test_weighted_sparse_traffic(self, xgft, spec):
         scheme = make_scheme(xgft, spec, seed=5)
-        engine = BatchFlowEngine(compile_scheme(xgft, scheme))
         tm = _random_tm(xgft, seed=7)
-        ref = link_loads(xgft, scheme, tm)
-        np.testing.assert_allclose(engine.link_loads(tm), ref, atol=1e-9)
+        np.testing.assert_allclose(link_loads(xgft, scheme, tm),
+                                   reference_loads(xgft, scheme, tm),
+                                   atol=1e-9)
 
     def test_all_to_all(self, xgft, spec):
         scheme = make_scheme(xgft, spec, seed=5)
-        engine = BatchFlowEngine(compile_scheme(xgft, scheme))
         tm = all_to_all(xgft.n_procs)
-        ref = link_loads(xgft, scheme, tm)
-        np.testing.assert_allclose(engine.link_loads(tm), ref, atol=1e-9)
+        np.testing.assert_allclose(link_loads(xgft, scheme, tm),
+                                   reference_loads(xgft, scheme, tm),
+                                   atol=1e-9)
 
 
 class TestBatchPermutations:
     def test_batch_matches_scalar_loop(self, tree8x3):
         scheme = make_scheme(tree8x3, "disjoint:3")
-        engine = BatchFlowEngine(compile_scheme(tree8x3, scheme))
-        rng = np.random.default_rng(3)
-        perms = np.stack([random_permutation(tree8x3.n_procs, rng)
-                          for _ in range(17)])
-        batch = engine.permutation_mloads(perms)
-        scalar = [max_link_load(link_loads(tree8x3, scheme,
-                                           permutation_matrix(p)))
-                  for p in perms]
-        np.testing.assert_allclose(batch, scalar, atol=1e-9)
+        perms = _perms(tree8x3.n_procs, 17, 3)
+        assert np.array_equal(permutation_mloads(tree8x3, scheme, perms),
+                              loop_mloads(tree8x3, scheme, perms))
 
     def test_chunking_is_invisible(self, tree8x2, monkeypatch):
-        import repro.flow.engine as eng_mod
-
         scheme = make_scheme(tree8x2, "shift-1:2")
-        engine = BatchFlowEngine(compile_scheme(tree8x2, scheme))
-        rng = np.random.default_rng(9)
-        perms = np.stack([random_permutation(tree8x2.n_procs, rng)
-                          for _ in range(8)])
-        whole = engine.permutation_mloads(perms)
-        # Force a scratch budget so small that every chunk is one perm.
-        monkeypatch.setattr(eng_mod, "_BATCH_BUDGET", 1)
-        np.testing.assert_allclose(engine.permutation_mloads(perms), whole)
+        perms = _perms(tree8x2.n_procs, 8, 9)
+        whole = permutation_mloads(tree8x2, scheme, perms)
+        assert stack_rows(tree8x2) >= len(perms)  # one pass above
+        # A budget this small evaluates one permutation per pass.
+        monkeypatch.setattr(loads_mod, "_STACK_BUDGET", 1)
+        assert stack_rows(tree8x2) == 1
+        assert np.array_equal(permutation_mloads(tree8x2, scheme, perms),
+                              whole)
 
     def test_single_permutation_1d(self, tree8x2):
         scheme = make_scheme(tree8x2, "d-mod-k")
-        engine = BatchFlowEngine(compile_scheme(tree8x2, scheme))
         perm = np.roll(np.arange(tree8x2.n_procs), 1)
-        out = engine.permutation_mloads(perm)
+        out = permutation_mloads(tree8x2, scheme, perm)
         assert out.shape == (1,)
-        ref = max_link_load(link_loads(tree8x2, scheme,
-                                       permutation_matrix(perm)))
-        assert abs(out[0] - ref) < 1e-9
+        assert out[0] == max_link_load(
+            link_loads(tree8x2, scheme, permutation_matrix(perm)))
 
     def test_rejects_bad_width(self, tree8x2):
         scheme = make_scheme(tree8x2, "d-mod-k")
-        engine = BatchFlowEngine(compile_scheme(tree8x2, scheme))
-        with pytest.raises(ValueError):
-            engine.permutation_mloads(np.zeros((2, 5), dtype=np.int64))
+        with pytest.raises(TrafficError):
+            permutation_mloads(tree8x2, scheme,
+                               np.zeros((2, 5), dtype=np.int64))
+
+
+class TestStackBoundaries:
+    """Rows at the edges of a stacked pass still match the oracle."""
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["B=1", "B=chunk+1"])
+    def test_pass_boundaries(self, tree8x3, extra):
+        scheme = make_scheme(tree8x3, "random:3", seed=2)
+        count = 1 if not extra else stack_rows(tree8x3) + extra
+        perms = _perms(tree8x3.n_procs, count, 11)
+        assert np.array_equal(permutation_mloads(tree8x3, scheme, perms),
+                              loop_mloads(tree8x3, scheme, perms))
+
+    def test_identity_row_carries_no_load(self, tree8x2):
+        scheme = make_scheme(tree8x2, "disjoint:2")
+        n = tree8x2.n_procs
+        perms = np.stack([np.roll(np.arange(n), 3), np.arange(n),
+                          np.roll(np.arange(n), 5)])
+        out = permutation_mloads(tree8x2, scheme, perms)
+        assert out[1] == 0.0
+        assert np.array_equal(out, loop_mloads(tree8x2, scheme, perms))
+
+    def test_empty_batch(self, tree8x2):
+        out = permutation_mloads(tree8x2, make_scheme(tree8x2, "d-mod-k"),
+                                 np.empty((0, tree8x2.n_procs), dtype=int))
+        assert out.shape == (0,)
+
+
+@pytest.mark.parametrize("row", [
+    pytest.param([1] * 8, id="repeated-node"),
+    pytest.param([-1, 1, 2, 3, 4, 5, 6, 7], id="negative-id"),
+    pytest.param([8, 1, 2, 3, 4, 5, 6, 7], id="id-past-end"),
+    pytest.param([1, 0, 3, 2], id="short-row"),
+])
+def test_rejects_rows_that_are_not_permutations(row):
+    """A non-permutation row is an error, as in ``permutation_matrix``;
+    it must not wrap into another pair's link ids."""
+    xgft = m_port_n_tree(4, 2)
+    scheme = make_scheme(xgft, "d-mod-k")
+    perms = np.stack([np.arange(8), np.arange(8)])
+    if len(row) == 8:
+        perms[1] = row
+    else:
+        perms = np.array([row])
+    with pytest.raises(TrafficError):
+        permutation_mloads(xgft, scheme, perms)
+    with pytest.raises(TrafficError):
+        permutation_matrix(row if len(row) == 8 else row + [9] * 4)
 
 
 class TestFlowSimulatorEngines:
     @pytest.mark.parametrize("spec", ["d-mod-k", "disjoint:2", "umulti"])
     def test_evaluate_agrees(self, tree8x2, spec):
+        """``evaluate``, ``max_load`` and the stacked
+        ``permutation_mloads`` report the same MLOAD for one
+        permutation (a shift)."""
         scheme = make_scheme(tree8x2, spec)
-        tm = shift_pattern(tree8x2.n_procs, 3)
-        ref = FlowSimulator(tree8x2).evaluate(scheme, tm)
-        comp = FlowSimulator(tree8x2, engine="compiled").evaluate(scheme, tm)
-        np.testing.assert_allclose(comp.loads, ref.loads, atol=1e-9)
-        assert abs(comp.max_load - ref.max_load) < 1e-9
-        assert comp.optimal == ref.optimal
-        np.testing.assert_allclose(comp.per_level_max, ref.per_level_max,
-                                   atol=1e-9)
+        n = tree8x2.n_procs
+        tm = shift_pattern(n, 3)
+        sim = FlowSimulator(tree8x2)
+        res = sim.evaluate(scheme, tm)
+        assert np.array_equal(res.loads, link_loads(tree8x2, scheme, tm))
+        perm = (np.arange(n) + 3) % n
+        assert sim.permutation_mloads(scheme, perm)[0] == res.max_load
+        assert sim.max_load(scheme, tm) == res.max_load
 
     def test_rejects_unknown_engine(self, tree8x2):
-        with pytest.raises(ValueError):
+        # No option selects a flow evaluator any more.
+        with pytest.raises(TypeError):
             FlowSimulator(tree8x2, engine="magic")
+        with pytest.raises(TypeError):
+            PermutationStudy(tree8x2, engine="reference")
+
+    def test_permutation_mloads_both_engines(self, tree8x2):
+        """The simulator's two MLOAD paths — stacked
+        ``permutation_mloads`` and per-matrix ``max_load`` — agree bit
+        for bit."""
+        scheme = make_scheme(tree8x2, "random:2", seed=1)
+        perms = _perms(tree8x2.n_procs, 5, 0)
+        sim = FlowSimulator(tree8x2)
+        assert np.array_equal(
+            sim.permutation_mloads(scheme, perms),
+            [sim.max_load(scheme, permutation_matrix(p)) for p in perms])
 
     def test_evaluate_accepts_precomputed_optimal(self, tree8x2):
         scheme = make_scheme(tree8x2, "umulti")
@@ -141,42 +203,17 @@ class TestFlowSimulatorEngines:
         assert res.optimal == 2.0
         assert res.ratio == pytest.approx(res.max_load / 2.0)
 
-    def test_batch_engine_cached_per_scheme(self, tree8x2):
-        sim = FlowSimulator(tree8x2, engine="compiled")
-        scheme = make_scheme(tree8x2, "disjoint:2")
-        assert sim.batch_engine(scheme) is sim.batch_engine(scheme)
-
-    def test_accepts_precompiled_plan(self, tree8x2):
-        scheme = make_scheme(tree8x2, "d-mod-k")
-        plan = compile_scheme(tree8x2, scheme)
-        sim = FlowSimulator(tree8x2, engine="compiled")
-        tm = shift_pattern(tree8x2.n_procs, 1)
-        np.testing.assert_allclose(
-            sim.evaluate(plan, tm).loads,
-            link_loads(tree8x2, scheme, tm), atol=1e-9)
-
-    def test_permutation_mloads_both_engines(self, tree8x2):
-        scheme = make_scheme(tree8x2, "random:2", seed=1)
-        rng = np.random.default_rng(0)
-        perms = np.stack([random_permutation(tree8x2.n_procs, rng)
-                          for _ in range(5)])
-        ref = FlowSimulator(tree8x2).permutation_mloads(scheme, perms)
-        comp = FlowSimulator(tree8x2, engine="compiled") \
-            .permutation_mloads(scheme, perms)
-        np.testing.assert_allclose(comp, ref, atol=1e-9)
-
 
 class TestStudyCrossEngine:
     def test_same_seed_same_samples(self, tree8x2):
-        """Property-style: both engines consume the identical permutation
-        stream, so a fixed-seed study yields the same sample sequence."""
+        """A study's samples are the oracle's MLOADs of its permutation
+        stream: every round draws from one seeded generator in order."""
         scheme = make_scheme(tree8x2, "disjoint:2")
-        kwargs = dict(initial_samples=16, max_samples=32, seed=99)
-        ref = PermutationStudy(tree8x2, **kwargs).run(scheme)
-        comp = PermutationStudy(tree8x2, engine="compiled", **kwargs) \
-            .run(scheme)
-        np.testing.assert_allclose(comp.samples, ref.samples, atol=1e-9)
-        assert comp.converged == ref.converged
+        res = PermutationStudy(tree8x2, initial_samples=16, max_samples=32,
+                               seed=99).run(scheme)
+        perms = _perms(tree8x2.n_procs, len(res.samples), 99)
+        assert np.array_equal(res.samples,
+                              loop_mloads(tree8x2, scheme, perms))
 
     def test_result_carries_optimal(self, tree8x2):
         scheme = make_scheme(tree8x2, "umulti")
@@ -189,6 +226,5 @@ class TestStudyCrossEngine:
         # UMULTI achieves OLOAD on every matrix (Theorem 1), so each
         # sample equals the hoisted optimal.
         res = PermutationStudy(tree8x2, initial_samples=8, max_samples=8,
-                               seed=2, engine="compiled") \
-            .run(make_scheme(tree8x2, "umulti"))
+                               seed=2).run(make_scheme(tree8x2, "umulti"))
         assert res.mean_ratio == pytest.approx(1.0)

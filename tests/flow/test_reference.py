@@ -15,17 +15,7 @@ from repro.topology.xgft import XGFT
 from repro.traffic.matrix import TrafficMatrix
 from repro.traffic.permutations import permutation_matrix, random_permutation
 from repro.traffic.synthetic import all_to_all, shift_pattern
-
-
-def reference_loads(xgft, scheme, tm):
-    loads = np.zeros(xgft.n_links)
-    s_arr, d_arr, amounts = tm.network_pairs()
-    for s, d, amount in zip(s_arr, d_arr, amounts):
-        rs = scheme.route(int(s), int(d))
-        for path, frac in zip(rs.paths(xgft), rs.fractions):
-            for link in path.links:
-                loads[link] += amount * frac
-    return loads
+from tests.flow.oracles import reference_loads
 
 
 TOPOLOGIES = [
@@ -81,3 +71,48 @@ def test_shift_traffic_loads_one_level():
     # check conservation instead: total load = sum over pairs of path length.
     ref = reference_loads(xgft, make_scheme(xgft, "d-mod-k"), tm)
     assert np.allclose(loads, ref)
+
+
+def _degraded_fabric(xgft, rate=0.2):
+    from repro.faults import FaultSpec
+
+    for seed in range(64):
+        fabric = FaultSpec(link_rate=rate, seed=seed).sample(xgft)
+        if fabric.is_connected and not fabric.is_pristine:
+            return fabric
+    raise AssertionError("no connected non-pristine fabric found")
+
+
+DEGRADED_TOPOLOGIES = [m_port_n_tree(8, 2), XGFT(3, (3, 2, 4), (1, 2, 3))]
+
+
+@pytest.mark.parametrize("xgft", DEGRADED_TOPOLOGIES,
+                         ids=[repr(x) for x in DEGRADED_TOPOLOGIES])
+@pytest.mark.parametrize("spec", ["d-mod-k", "shift-1:2", "disjoint:3",
+                                  "random:2", "umulti"])
+def test_vectorized_equals_reference_degraded(xgft, spec):
+    """Fault-aware fractions (renormalized, weight-0 padding) keep an
+    oracle independent of the closed-form link arithmetic."""
+    from repro.faults import DegradedScheme
+
+    scheme = DegradedScheme(make_scheme(xgft, spec, seed=5),
+                            _degraded_fabric(xgft))
+    for tm in (permutation_matrix(random_permutation(xgft.n_procs, 42)),
+               all_to_all(xgft.n_procs)):
+        assert np.allclose(link_loads(xgft, scheme, tm),
+                           reference_loads(xgft, scheme, tm))
+
+
+@pytest.mark.parametrize("spec", ["disjoint:2", "random:2", "umulti"])
+def test_vectorized_equals_reference_under_churn(spec):
+    """The incremental wrapper after every event of a fail/repair trace."""
+    from repro.faults.churn import (ChurnSpec, IncrementalDegradedScheme,
+                                    generate_trace)
+
+    xgft = m_port_n_tree(8, 2)
+    scheme = IncrementalDegradedScheme(make_scheme(xgft, spec, seed=5))
+    tm = permutation_matrix(random_permutation(xgft.n_procs, 7))
+    for event in generate_trace(xgft, ChurnSpec(n_events=4, seed=3)):
+        scheme.apply_event(event)
+        assert np.allclose(link_loads(xgft, scheme, tm),
+                           reference_loads(xgft, scheme, tm))

@@ -7,6 +7,8 @@ from repro.flow.sampling import PermutationStudy
 from repro.routing.factory import make_scheme
 from repro.routing.heuristics import RandomMultipath, UMulti
 from repro.topology.variants import m_port_n_tree
+from repro.traffic.permutations import random_permutation
+from tests.flow.oracles import loop_mloads
 
 
 @pytest.fixture
@@ -88,39 +90,43 @@ class TestParallel:
         assert study.run(make_scheme(tree8x2, "d-mod-k")).interval.n_samples == 2
 
     def test_parallel_reproducible_per_seed_and_jobs(self, tree8x2):
-        """A fixed (seed, n_jobs) pair reproduces exactly — both engines."""
-        for engine in ("reference", "compiled"):
-            kwargs = dict(initial_samples=12, max_samples=12,
-                          rel_precision=1.0, seed=21, n_jobs=3, engine=engine)
-            a = PermutationStudy(tree8x2, **kwargs).run(
-                make_scheme(tree8x2, "disjoint:2"))
-            b = PermutationStudy(tree8x2, **kwargs).run(
-                make_scheme(tree8x2, "disjoint:2"))
-            assert np.array_equal(a.samples, b.samples), engine
+        """A fixed (seed, n_jobs) pair reproduces exactly."""
+        kwargs = dict(initial_samples=12, max_samples=12,
+                      rel_precision=1.0, seed=21, n_jobs=3)
+        a = PermutationStudy(tree8x2, **kwargs).run(
+            make_scheme(tree8x2, "disjoint:2"))
+        b = PermutationStudy(tree8x2, **kwargs).run(
+            make_scheme(tree8x2, "disjoint:2"))
+        assert np.array_equal(a.samples, b.samples)
 
     def test_parallel_shape_matches_serial(self, tree8x2):
-        """n_jobs=2 returns the same number of samples as n_jobs=1 and the
-        same per-worker streams across engines (same child seeds)."""
+        """n_jobs=2 returns the same number of samples as n_jobs=1."""
         kwargs = dict(initial_samples=10, max_samples=10, rel_precision=1.0,
                       seed=13)
         serial = PermutationStudy(tree8x2, **kwargs).run(
             make_scheme(tree8x2, "d-mod-k"))
-        for engine in ("reference", "compiled"):
-            par = PermutationStudy(tree8x2, n_jobs=2, engine=engine,
-                                   **kwargs).run(
-                make_scheme(tree8x2, "d-mod-k"))
-            assert par.samples.shape == serial.samples.shape
+        par = PermutationStudy(tree8x2, n_jobs=2, **kwargs).run(
+            make_scheme(tree8x2, "d-mod-k"))
+        assert par.samples.shape == serial.samples.shape
 
     def test_parallel_cross_engine_samples_agree(self, tree8x2):
-        """Reference and compiled pool workers draw identical permutation
-        streams, so parallel samples agree to float tolerance."""
-        kwargs = dict(initial_samples=12, max_samples=12, rel_precision=1.0,
-                      seed=17, n_jobs=3)
-        ref = PermutationStudy(tree8x2, engine="reference", **kwargs).run(
-            make_scheme(tree8x2, "disjoint:2"))
-        comp = PermutationStudy(tree8x2, engine="compiled", **kwargs).run(
-            make_scheme(tree8x2, "disjoint:2"))
-        np.testing.assert_allclose(comp.samples, ref.samples, atol=1e-9)
+        """Pool workers' stacked MLOADs equal the per-permutation oracle
+        over the same per-worker streams: the round is split into
+        near-equal chunks, each drawn from a child seed of the study's
+        generator."""
+        scheme = make_scheme(tree8x2, "disjoint:2")
+        res = PermutationStudy(tree8x2, initial_samples=12, max_samples=12,
+                               rel_precision=1.0, seed=17,
+                               n_jobs=3).run(scheme)
+        rng = np.random.default_rng(17)
+        seeds = [int(rng.integers(0, 2**62)) for _ in range(3)]
+        expected = []
+        for seed in seeds:
+            child = np.random.default_rng(seed)
+            perms = [random_permutation(tree8x2.n_procs, child)
+                     for _ in range(4)]
+            expected.extend(loop_mloads(tree8x2, scheme, perms).tolist())
+        assert np.array_equal(res.samples, expected)
 
 
 class TestPoolLifecycle:
@@ -251,38 +257,24 @@ class TestTelemetry:
         assert rec.counters["flow.samples"] == 12
         # Worker-side spans arrive via snapshot merge.
         assert rec.timers["flow.sampling.worker"][1] == 3
-        per_sample = [name for name in rec.timers if "flow.max_load" in name]
-        assert sum(rec.timers[n][1] for n in per_sample) == 12
+        # One stacked evaluation per worker chunk (4 permutations each
+        # fit one pass), not one timer call per sample.
+        stacked = [name for name in rec.timers
+                   if "flow.permutation_mloads" in name]
+        assert sum(rec.timers[n][1] for n in stacked) == 3
 
-    def test_compiled_parallel_merges_snapshots(self, tree8x2):
-        """Compiled-engine pool workers merge recorder snapshots exactly
-        like the reference ones (same span name, same sample counter)."""
+    def test_serial_stacked_telemetry(self, tree8x2):
+        """Serially, each adaptive round is one timed stacked call nested
+        under the round's span."""
         from repro.obs import Recorder
 
         rec = Recorder()
-        study = PermutationStudy(tree8x2, initial_samples=12, max_samples=12,
-                                 rel_precision=1.0, seed=7, n_jobs=3,
-                                 engine="compiled", recorder=rec)
-        res = study.run(make_scheme(tree8x2, "d-mod-k"))
-        assert res.interval.n_samples == 12
-        assert rec.counters["flow.samples"] == 12
-        assert rec.timers["flow.sampling.worker"][1] == 3
-        # Compile happened once, in the parent, before the fan-out.
-        assert rec.counters["routing.schemes_compiled"] == 1
-
-    def test_compiled_serial_batch_telemetry(self, tree8x2):
-        from repro.obs import Recorder
-
-        rec = Recorder()
-        study = PermutationStudy(tree8x2, initial_samples=8, max_samples=8,
-                                 rel_precision=1.0, seed=7, engine="compiled",
-                                 recorder=rec)
+        study = PermutationStudy(tree8x2, initial_samples=4, max_samples=16,
+                                 rel_precision=-1.0, seed=7, recorder=rec)
         study.run(make_scheme(tree8x2, "disjoint:2"))
-        assert rec.counters["flow.batch_permutations"] == 8
-        assert rec.counters["flow.batch_eval_calls"] >= 1
-        # Nested under the sampling-round span.
-        assert any("flow.batch_eval" in name for name in rec.timers)
-        assert rec.events_of("compile_stats")
+        assert rec.counters["flow.samples"] == 16
+        name = "flow.sampling.round/flow.permutation_mloads"
+        assert rec.timers[name][1] == 3  # rounds of 4, 4 and 8
 
     def test_parallel_disabled_recorder_ships_no_snapshots(self, tree8x2):
         from repro.obs import NULL_RECORDER

@@ -185,6 +185,14 @@ class TestRunBenchmarks:
         assert compare_snapshots(path, rerun, threshold=4.0).failed_checks \
             == []
 
+    def test_quick_flow_bench_checks_stacked_against_oracle(self):
+        snap = run_benchmarks(["flow"], quick=True)["flow"]
+        assert set(snap.metrics) == {"reference_eval", "stacked_eval"}
+        assert snap.checks == {"parity_ok": True}
+        stacked = snap.metrics["stacked_eval"]
+        assert stacked["speedup_vs_reference"] > 1.0
+        assert stacked["wall_s"] > 0 and stacked["perms_per_s"] > 0
+
     def test_measure_obs_overhead_fields(self):
         m = measure_obs_overhead(quick=True, rounds=2, reps=2)
         assert set(m) == {"raw_s", "disabled_s", "enabled_s",

@@ -1,16 +1,12 @@
-"""CompiledScheme: table lookups, derived tables, telemetry, pickling."""
+"""Compiled route tables and the candidate link index: pair coverage,
+self-pair rejection and sub-table consistency."""
 
 from __future__ import annotations
-
-import pickle
 
 import numpy as np
 import pytest
 
-from repro.errors import RoutingError
-from repro.ib.lft import compile_lfts
-from repro.obs import Recorder, use_recorder
-from repro.routing.compiled import CompiledScheme, compile_scheme
+from repro.routing.compiled import candidate_link_index
 from repro.routing.factory import make_scheme
 from repro.routing.vectorized import compile_routes
 from repro.topology.variants import m_port_n_tree
@@ -18,143 +14,38 @@ from repro.topology.xgft import XGFT
 
 
 @pytest.fixture
-def plan(tree8x2):
-    return compile_scheme(tree8x2, make_scheme(tree8x2, "disjoint:2"))
-
-
-class TestQuerySurface:
-    @pytest.mark.parametrize("spec", ["d-mod-k", "shift-1:3", "random:2",
-                                      "umulti"])
-    def test_path_index_matrix_matches_scheme(self, tree8x3, spec):
-        scheme = make_scheme(tree8x3, spec, seed=4)
-        plan = compile_scheme(tree8x3, scheme)
-        rng = np.random.default_rng(0)
-        for k in range(1, tree8x3.h + 1):
-            # Sample pairs with NCA level exactly k.
-            n = tree8x3.n_procs
-            s = rng.integers(0, n, size=200)
-            d = rng.integers(0, n, size=200)
-            mask = tree8x3.nca_level(s, d) == k
-            s, d = s[mask], d[mask]
-            if not len(s):
-                continue
-            np.testing.assert_array_equal(
-                plan.path_index_matrix(s, d, k),
-                scheme.path_index_matrix(s, d, k))
-            assert plan.paths_per_pair(k) == scheme.paths_per_pair(k)
-            np.testing.assert_allclose(plan.fractions(k), scheme.fractions(k))
-
-    def test_label_and_name_preserved(self, tree8x2):
-        scheme = make_scheme(tree8x2, "disjoint:2")
-        plan = compile_scheme(tree8x2, scheme)
-        assert plan.label == scheme.label
-        assert plan.scheme_name == scheme.name
-
-    def test_wrong_level_pair_raises(self, plan, tree8x2):
-        # Nodes 0 and 1 share the level-1 switch, so they are not a
-        # level-h pair.
-        with pytest.raises(RoutingError):
-            plan.path_index_matrix(np.array([0]), np.array([1]), tree8x2.h)
-
-    def test_compile_is_idempotent(self, plan, tree8x2):
-        assert compile_scheme(tree8x2, plan) is plan
-
-    def test_topology_mismatch_raises(self, plan):
-        other = m_port_n_tree(4, 2)
-        with pytest.raises(RoutingError):
-            compile_scheme(other, plan)
-        with pytest.raises(RoutingError):
-            compile_scheme(other, make_scheme(m_port_n_tree(8, 2), "d-mod-k"))
+def table(tree8x2):
+    return compile_routes(tree8x2, make_scheme(tree8x2, "disjoint:2"))
 
 
 class TestDerivedTables:
-    @pytest.mark.parametrize("spec", ["d-mod-k", "disjoint:2", "umulti"])
-    def test_route_table_matches_compile_routes(self, tree8x2, spec):
-        scheme = make_scheme(tree8x2, spec)
-        plan = compile_scheme(tree8x2, scheme)
-        assert plan.route_table() == compile_routes(tree8x2, scheme)
-
-    def test_compile_routes_delegates_to_plan(self, tree8x2, plan):
-        # Passing the compiled plan to compile_routes serves the table
-        # from the stored incidence.
-        scheme = make_scheme(tree8x2, "disjoint:2")
-        assert compile_routes(tree8x2, plan) == compile_routes(tree8x2, scheme)
-
-    def test_route_table_subset_pairs(self, tree8x2, plan):
+    def test_route_table_subset_pairs(self, tree8x2, table):
         pairs = np.array([[0, 31], [5, 9], [30, 2]])
-        table = plan.route_table(pairs)
-        full = plan.route_table()
-        assert set(table) == {s * tree8x2.n_procs + d for s, d in pairs}
-        for key, paths in table.items():
-            assert full[key] == paths
+        sub = compile_routes(tree8x2, make_scheme(tree8x2, "disjoint:2"),
+                             pairs)
+        assert set(sub) == {s * tree8x2.n_procs + d for s, d in pairs}
+        for key, paths in sub.items():
+            assert table[key] == paths
 
-    def test_route_table_rejects_self_pairs(self, plan):
+    def test_route_table_rejects_self_pairs(self, tree8x2):
         with pytest.raises(ValueError):
-            plan.route_table(np.array([[3, 3]]))
-
-    def test_lfts_from_plan_match_scheme(self, tree8x2):
-        scheme = make_scheme(tree8x2, "disjoint:2")
-        plan = compile_scheme(tree8x2, scheme)
-        from_plan = compile_lfts(tree8x2, plan)
-        from_scheme = compile_lfts(tree8x2, scheme)
-        assert from_plan.scheme_label == from_scheme.scheme_label
-        np.testing.assert_array_equal(from_plan.up_port, from_scheme.up_port)
-        np.testing.assert_array_equal(from_plan.path_index,
-                                      from_scheme.path_index)
+            compile_routes(tree8x2, make_scheme(tree8x2, "disjoint:2"),
+                           np.array([[3, 3]]))
 
 
 class TestCsrLayout:
-    def test_self_pairs_are_empty_rows(self, plan, tree8x2):
+    def test_self_pairs_are_empty_rows(self, table, tree8x2):
         n = tree8x2.n_procs
-        counts = np.diff(plan.indptr)
+        counts = np.diff(table.pair_off)
         self_keys = np.arange(n) * n + np.arange(n)
         assert (counts[self_keys] == 0).all()
-        # Every cross pair has P * 2k entries for its NCA level.
-        assert plan.n_pairs == n * (n - 1)
-        assert plan.nnz == counts.sum()
-
-    def test_weights_sum_to_path_length(self, plan, tree8x2):
-        # Per pair, the link weights sum to (fractions · 1) * 2k = 2k.
-        n = tree8x2.n_procs
+        # Every cross pair has min(K, W(k)) paths of 2k links each.
+        assert len(table) == n * (n - 1)
         for s, d in [(0, n - 1), (0, 1)]:
-            key = s * n + d
-            lo, hi = plan.indptr[key], plan.indptr[key + 1]
             k = int(tree8x2.nca_level(s, d))
-            assert plan.link_weights[lo:hi].sum() == pytest.approx(2 * k)
-
-    def test_nbytes_positive(self, plan):
-        assert plan.nbytes > 0
-        assert "CompiledScheme" in repr(plan)
-
-
-class TestTelemetry:
-    def test_compile_stats_event_and_timer(self, tree8x2):
-        rec = Recorder()
-        with use_recorder(rec):
-            compile_scheme(tree8x2, make_scheme(tree8x2, "disjoint:2"))
-        assert rec.counters["routing.schemes_compiled"] == 1
-        assert "routing.compile" in rec.timers
-        events = [e for e in rec.events if e.get("event") == "compile_stats"
-                  or e.get("name") == "compile_stats"
-                  or "nnz" in e]
-        assert events, f"no compile_stats event in {rec.events}"
-        stats = events[0]
-        assert stats["n_pairs"] == tree8x2.n_procs * (tree8x2.n_procs - 1)
-        assert stats["nnz"] > 0
-        assert stats["seconds"] >= 0
-
-
-class TestPickling:
-    def test_round_trip(self, tree8x2):
-        scheme = make_scheme(tree8x2, "random:2", seed=3)
-        plan = compile_scheme(tree8x2, scheme)
-        clone = pickle.loads(pickle.dumps(plan))
-        assert clone.xgft == plan.xgft
-        assert clone.label == plan.label
-        np.testing.assert_array_equal(clone.link_ids, plan.link_ids)
-        np.testing.assert_array_equal(clone.indptr, plan.indptr)
-        np.testing.assert_allclose(clone.link_weights, plan.link_weights)
-        assert clone.route_table() == plan.route_table()
+            paths = table[s * n + d]
+            assert len(paths) == min(2, tree8x2.W(k))
+            assert all(len(p) == 2 * k for p in paths)
 
 
 @pytest.mark.parametrize("xgft", [
@@ -164,8 +55,15 @@ class TestPickling:
     XGFT(2, (3, 5), (2, 3)),
 ], ids=repr)
 def test_compile_covers_every_cross_pair(xgft):
-    plan = compile_scheme(xgft, make_scheme(xgft, "d-mod-k"))
-    counts = np.diff(plan.indptr)
+    """Both all-pairs structures have a row for exactly the cross pairs:
+    the route table (non-empty rows) and the candidate link index (keys
+    that appear on some link)."""
     n = xgft.n_procs
     s, d = np.divmod(np.arange(n * n), n)
+    table = compile_routes(xgft, make_scheme(xgft, "d-mod-k"))
+    counts = np.diff(table.pair_off)
     assert ((counts > 0) == (s != d)).all()
+    index = candidate_link_index(xgft)
+    covered = np.zeros(n * n, dtype=bool)
+    covered[index.pair_keys] = True
+    assert (covered == (s != d)).all()

@@ -1,9 +1,9 @@
 """Differential tests of the CSR route table against the scalar oracle.
 
 Every producer of :class:`~repro.routing.table.RouteTable` — the
-closed-form builder (:func:`repro.routing.vectorized.compile_routes`),
-compiled plans (:meth:`CompiledScheme.route_table`) and discovered
-fabrics (:func:`repro.fabric.evaluate.compile_flit_routes`) — is decoded
+closed-form builder (:func:`repro.routing.vectorized.compile_routes`)
+over pristine, degraded and churned schemes, and discovered fabrics
+(:func:`repro.fabric.evaluate.compile_flit_routes`) — is decoded
 straight from its three arrays and compared, pair by pair, with paths
 materialized one at a time by :func:`repro.routing.path.build_path`.
 """
@@ -19,7 +19,6 @@ from repro.fabric.evaluate import compile_flit_routes
 from repro.fabric.graph import fabric_from_xgft
 from repro.fabric.router import route_fabric
 from repro.faults import DegradedScheme, FaultSpec
-from repro.routing.compiled import compile_scheme
 from repro.routing.factory import make_scheme
 from repro.routing.path import build_path
 from repro.routing.table import RouteTable
@@ -107,20 +106,34 @@ class TestCompileRoutes:
         assert_table(compile_routes(xgft, scheme, pairs), expected, n)
 
 
+def _churned(xgft, spec, n_events=5):
+    """An incremental re-router after a short fail/repair trace."""
+    from repro.faults.churn import (ChurnSpec, IncrementalDegradedScheme,
+                                    generate_trace)
+
+    scheme = IncrementalDegradedScheme(make_scheme(xgft, spec, seed=3))
+    scheme.replay(generate_trace(xgft, ChurnSpec(n_events=n_events, seed=4)))
+    return scheme
+
+
 class TestCompiledSchemeTable:
+    """Tables compiled from the incremental re-router after churn."""
+
     @pytest.mark.parametrize("spec", SPECS)
     def test_matches_build_path(self, xgft, spec):
-        scheme = make_scheme(xgft, spec, seed=3)
-        plan = compile_scheme(xgft, scheme)
-        expected = oracle(xgft, scheme)
-        assert_table(plan.route_table(), expected, xgft.n_procs)
-        assert compile_routes(xgft, plan) == plan.route_table()
+        scheme = _churned(xgft, spec)
+        assert_table(compile_routes(xgft, scheme), oracle(xgft, scheme),
+                     xgft.n_procs)
 
     def test_masked_plan_drops_padding(self, xgft, degraded):
-        scheme = DegradedScheme(make_scheme(xgft, "shift-1:2"), degraded)
-        plan = compile_scheme(xgft, scheme)
-        assert plan.masked
-        assert_table(plan.route_table(), oracle(xgft, scheme), xgft.n_procs)
+        from repro.faults.churn import IncrementalDegradedScheme
+
+        base = make_scheme(xgft, "shift-1:2")
+        scheme = IncrementalDegradedScheme(base, degraded)
+        table = compile_routes(xgft, scheme)
+        assert_table(table, oracle(xgft, scheme), xgft.n_procs)
+        assert table == compile_routes(xgft, DegradedScheme(base, degraded))
+        assert not (~degraded.link_ok[table.links]).any()
 
 
 class TestFabricTable:
